@@ -3,10 +3,11 @@
 #   make test        - the tier-1 test suite (what CI must keep green)
 #   make bench-smoke - the Figure 12 query-time benchmark at a tiny scale,
 #                      including the plan-cache warm-vs-cold and
-#                      rows-vs-blocks executor head-to-heads plus the
-#                      observability-overhead gate (obs on vs REPRO_OBS=off
-#                      must stay within 5% on Q1/Q2); one command to spot
-#                      a perf regression
+#                      access-path head-to-heads, the exact per-operator
+#                      work-counter gate, and the observability-overhead
+#                      gate (obs on vs REPRO_OBS=off must stay within 5% on
+#                      Q1/Q2); wall-time regressions of the executor are
+#                      guarded end to end by BENCHMARK.json (warm_paper_mix)
 #   make bench-serve - serving throughput: requests/sec on the Figure 12
 #                      queries over the TCP protocol at 1/4/8 client
 #                      threads (gates on >= 2x at 4 clients; appends to

@@ -76,7 +76,7 @@ def test_fig13_q2_plan_indexed(benchmark):
 def test_fig13_q2_plan_analyze(benchmark):
     """EXPLAIN ANALYZE of the Q2 rewriting: per-operator rows and batches.
 
-    Runs the translated plan through the block executor and saves the plan
+    Runs the translated plan through the executor and saves the plan
     annotated with actual row counts and batch counts per operator.
     """
     from repro.relational import explain_analyze

@@ -23,11 +23,17 @@ from typing import Any, List, Optional, Tuple
 
 from ..obs import request_trace
 from ..relational.expressions import Expression, Param, iter_subexpressions
+from ..relational.types import string_literal
 from .dml import DMLResult, collect_dml_params, execute_dml
 from .query import UJoin, UQuery, USelect
 from .translate import execute_query, explain_query
 
 __all__ = ["PreparedQuery", "PreparedDML", "collect_params"]
+
+
+def _typed(params: Tuple[Any, ...]) -> List[Any]:
+    """Bindings typed like inline literals: date-shaped strings are dates."""
+    return [string_literal(v) if isinstance(v, str) else v for v in params]
 
 
 def _expression_params(expression: Expression, out: List[Param]) -> None:
@@ -90,21 +96,19 @@ class PreparedQuery:
                 f"prepared query takes {self.parameter_count} parameter(s), "
                 f"got {len(params)}"
             )
-        self._store[:] = params
+        self._store[:] = _typed(params)
 
     def run(
         self,
         *params: Any,
         optimize: bool = True,
         prefer_merge_join: bool = False,
-        mode: str = "columns",
         use_indexes: bool = True,
         batch_size: Optional[int] = None,
-        parallel: int = 0,
     ):
         """Bind parameters and execute.
 
-        The first call per (mode, knobs) combination plans and caches; all
+        The first call per knob combination plans and caches; all
         later calls are executor-only.  Returns what
         :func:`~repro.core.translate.execute_query` returns — a plain
         relation for ``possible``/``certain`` statements, a U-relation
@@ -122,10 +126,8 @@ class PreparedQuery:
                     self.udb,
                     optimize=optimize,
                     prefer_merge_join=prefer_merge_join,
-                    mode=mode,
                     use_indexes=use_indexes,
                     batch_size=batch_size,
-                    parallel=parallel,
                 )
             with self._lock:
                 self.bind(params)
@@ -134,10 +136,8 @@ class PreparedQuery:
                     self.udb,
                     optimize=optimize,
                     prefer_merge_join=prefer_merge_join,
-                    mode=mode,
                     use_indexes=use_indexes,
                     batch_size=batch_size,
-                    parallel=parallel,
                 )
 
     def explain(
@@ -145,7 +145,6 @@ class PreparedQuery:
         *params: Any,
         optimize: bool = True,
         prefer_merge_join: bool = False,
-        mode: str = "columns",
         use_indexes: bool = True,
         analyze: bool = False,
     ) -> str:
@@ -162,7 +161,6 @@ class PreparedQuery:
             self.udb,
             optimize=optimize,
             prefer_merge_join=prefer_merge_join,
-            mode=mode,
             use_indexes=use_indexes,
             analyze=analyze,
         )
@@ -210,12 +208,12 @@ class PreparedDML:
                 f"prepared statement takes {self.parameter_count} parameter(s), "
                 f"got {len(params)}"
             )
-        self._store[:] = params
+        self._store[:] = _typed(params)
 
     def run(self, *params: Any, **_ignored_knobs: Any) -> DMLResult:
         """Bind parameters and apply the statement to the database.
 
-        Execution knobs (``mode``/``use_indexes``/...) are accepted for
+        Execution knobs (``use_indexes``/...) are accepted for
         interface parity with :class:`PreparedQuery` and ignored — the
         write path's own work is not executor-shaped; only its WHERE
         matching runs through the executor, under default knobs.

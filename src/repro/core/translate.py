@@ -749,9 +749,7 @@ def query_cache_key(
     udb: UDatabase,
     optimize: bool = True,
     prefer_merge_join: bool = False,
-    mode: str = "columns",
     use_indexes: bool = True,
-    parallel: int = 0,
 ):
     """The prepared-plan cache key this query would plan under, or None.
 
@@ -762,7 +760,6 @@ def query_cache_key(
     """
     from ..relational.plancache import build_key
 
-    fuse = mode == "columns"
     return build_key(
         lambda: (
             "uquery",
@@ -771,8 +768,6 @@ def query_cache_key(
             optimize,
             prefer_merge_join,
             use_indexes,
-            fuse,
-            parallel,
         )
     )
 
@@ -782,9 +777,7 @@ def _cached_physical(
     udb: UDatabase,
     optimize: bool,
     prefer_merge_join: bool,
-    mode: str,
     use_indexes: bool,
-    parallel: int = 0,
 ):
     """The fully planned physical tree for a logical query, via the cache.
 
@@ -799,8 +792,7 @@ def _cached_physical(
     A hit skips translation, optimization, and physical planning — the
     repeated-query path is executor-only.  The cache key is the normalized
     query structure, the owning database, and every knob that shapes the
-    plan (``rows`` and ``blocks`` share one unfused plan; ``columns``
-    caches its fused plan separately).  Invalidation is exact: any catalog
+    plan.  Invalidation is exact: any catalog
     mutation of a relation the plan scans evicts the entry (see
     :mod:`repro.relational.plancache`).  Entries record planning time
     (the eviction weight) and the plan's admission cost class.
@@ -817,10 +809,7 @@ def _cached_physical(
     )
     from ..relational.planner import plan_physical
 
-    fuse = mode == "columns"
-    key = query_cache_key(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes, parallel
-    )
+    key = query_cache_key(query, udb, optimize, prefer_merge_join, use_indexes)
     # captured before translation resolves any relation: the store below
     # only commits if no catalog *swap* landed in between (see cache_store).
     # Identity, not version: this planning's own lazy index builds bump the
@@ -873,11 +862,7 @@ def _cached_physical(
                 conf.seed,
             )
         physical = plan_physical(
-            plan,
-            prefer_merge_join=prefer_merge_join,
-            use_indexes=use_indexes,
-            fuse=fuse,
-            parallel=parallel,
+            plan, prefer_merge_join=prefer_merge_join, use_indexes=use_indexes
         )
         cost_class = cost_class_of(physical)
         profile = _workload_profile(query, plan, physical, key, cost_class)
@@ -905,20 +890,15 @@ def execute_query(
     udb: UDatabase,
     optimize: bool = True,
     prefer_merge_join: bool = False,
-    mode: str = "columns",
     use_indexes: bool = True,
     batch_size: Optional[int] = None,
-    parallel: int = 0,
 ):
     """Translate and run a query against a U-relational database.
 
     Returns a plain :class:`Relation` for top-level ``Poss``/``Certain``
     queries, a :class:`~repro.core.probability.ConfidenceAnswer` (a
     relation plus the computation summary) for ``Conf``, and a
-    :class:`URelation` otherwise.  ``mode`` selects the
-    executor: ``"columns"`` (columnar batches over a fused plan, the
-    default), ``"blocks"`` (row-batch vectorized, the PR 1/2 baseline), or
-    ``"rows"`` (legacy tuple-at-a-time); ``use_indexes=False`` disables
+    :class:`URelation` otherwise.  ``use_indexes=False`` disables
     access-path selection, which is the benchmarks' pre-index baseline.
 
     The physical plan is served from the prepared-plan cache when the same
@@ -936,22 +916,15 @@ def execute_query(
         from .certain import certain_answers
 
         inner = execute_query(
-            query.child,
-            udb,
-            optimize,
-            prefer_merge_join,
-            mode,
-            use_indexes,
-            batch_size,
-            parallel,
+            query.child, udb, optimize, prefer_merge_join, use_indexes, batch_size
         )
         return certain_answers(inner, udb.world_table)
     (physical, wrap, profile), was_cached, key = _cached_physical(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes, parallel
+        query, udb, optimize, prefer_merge_join, use_indexes
     )
     started = time.perf_counter()
     relation = execute(
-        physical, mode=mode, batch_size=BATCH_SIZE if batch_size is None else batch_size
+        physical, batch_size=BATCH_SIZE if batch_size is None else batch_size
     )
     elapsed = time.perf_counter() - started
     # feed the estimate-vs-actual loop and the trace from the accounting
@@ -997,10 +970,8 @@ def explain_query(
     udb: UDatabase,
     optimize: bool = True,
     prefer_merge_join: bool = False,
-    mode: str = "columns",
     use_indexes: bool = True,
     analyze: bool = False,
-    parallel: int = 0,
     trace: bool = False,
 ):
     """EXPLAIN output for a logical query against a U-relational database.
@@ -1022,24 +993,16 @@ def explain_query(
 
     if isinstance(query, Certain):
         return explain_query(
-            query.child,
-            udb,
-            optimize,
-            prefer_merge_join,
-            mode,
-            use_indexes,
-            analyze,
-            parallel,
-            trace,
+            query.child, udb, optimize, prefer_merge_join, use_indexes, analyze, trace
         )
     (physical, _wrap, _profile), was_cached, _key = _cached_physical(
-        query, udb, optimize, prefer_merge_join, mode, use_indexes, parallel
+        query, udb, optimize, prefer_merge_join, use_indexes
     )
     if analyze and trace:
-        _result, text, data = explain_analyze(physical, mode=mode, trace=True)
+        _result, text, data = explain_analyze(physical, trace=True)
         return (mark_cached(text) if was_cached else text), data
     if analyze:
-        _result, text = explain_analyze(physical, mode=mode)
+        _result, text = explain_analyze(physical)
     else:
         text = explain_physical(physical)
     return mark_cached(text) if was_cached else text

@@ -707,7 +707,7 @@ class UDatabase:
         """A :class:`~repro.server.server.QueryServer` over this database.
 
         Keyword arguments are the server's (``workers``, ``policy``,
-        ``coalesce``, ``mode``, ``use_indexes``, ``parallel``).
+        ``coalesce``, ``use_indexes``, ``auto_compact``).
         """
         from ..server import QueryServer
 

@@ -1,6 +1,6 @@
 """Columnar batches and generated vector kernels for the column executor.
 
-The columnar execution mode (``execute(plan, mode="columns")``) exchanges
+The executor (:func:`repro.relational.physical.execute`) exchanges
 :class:`ColumnBatch` values — one Python ``list``/``tuple`` vector per
 column — instead of lists of row tuples.  The payoff in pure Python:
 
@@ -182,8 +182,8 @@ def pipeline_kernel(
     """``f(rows) -> rows`` fusing filter + projection into one comprehension.
 
     ``predicate=None`` is a pure projection, ``positions=None`` passes rows
-    through unprojected; at least one must be set.  This is the row-mode
-    body of a fused scan→filter→project pipeline: a single generated list
+    through unprojected; at least one must be set.  This is the row-list
+    body of a fused pipeline over an index scan: a single generated list
     comprehension with the predicate inlined and the output tuple built
     in place — no per-row callable invocations at all.
     """

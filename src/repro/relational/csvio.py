@@ -48,9 +48,17 @@ def write_csv(relation: Relation, path: PathLike) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in relation.rows:
-            writer.writerow(
-                [_NULL if value is None else format_value(value) for value in row]
-            )
+            writer.writerow([_cell(value) for value in row])
+
+
+def _cell(value: object) -> str:
+    """One CSV field; floats use ``repr`` (shortest round-trip text), since
+    the display format (``format_value``) keeps only six digits."""
+    if value is None:
+        return _NULL
+    if isinstance(value, float):
+        return repr(value)
+    return format_value(value)
 
 
 def read_csv(path: PathLike, schema: Optional[Schema] = None) -> Relation:

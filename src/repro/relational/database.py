@@ -210,8 +210,6 @@ class Database:
         optimize_first: bool,
         prefer_merge_join: bool,
         use_indexes: bool,
-        fuse: bool,
-        parallel: int = 0,
     ) -> Tuple[PhysicalPlan, bool, Optional[Tuple]]:
         """The physical plan for a logical plan, via the prepared-plan cache.
 
@@ -233,8 +231,6 @@ class Database:
                 optimize_first,
                 prefer_merge_join,
                 use_indexes,
-                fuse,
-                parallel,
             )
         )
         with obs_span("plan") as sp:
@@ -246,10 +242,7 @@ class Database:
             started = time.perf_counter()
             logical = optimize(plan) if optimize_first else plan
             physical = Planner(
-                prefer_merge_join=prefer_merge_join,
-                use_indexes=use_indexes,
-                fuse=fuse,
-                parallel=parallel,
+                prefer_merge_join=prefer_merge_join, use_indexes=use_indexes
             ).compile(logical)
             cache_store(
                 key,
@@ -266,36 +259,25 @@ class Database:
         plan: Plan,
         optimize_first: bool = True,
         prefer_merge_join: bool = False,
-        mode: str = "columns",
         batch_size: int = BATCH_SIZE,
         use_indexes: bool = True,
-        parallel: int = 0,
     ) -> Relation:
         """Optimize, compile, and execute a logical plan.
 
-        ``mode="columns"`` (default) runs the columnar executor over a
-        fused plan; ``mode="blocks"`` the row-batch vectorized executor
-        (unfused, the PR 1/2 baseline); ``mode="rows"`` the legacy
-        tuple-at-a-time iterators.  ``use_indexes=False`` disables
-        access-path selection (sequential scans and hash joins only).
+        ``use_indexes=False`` disables access-path selection (sequential
+        scans and hash joins only).
 
         Repeated runs of a structurally identical plan skip optimization
         and planning entirely: the physical tree comes from the
-        prepared-plan cache (``rows`` and ``blocks`` share one unfused
-        plan; ``columns`` caches its fused plan separately).
+        prepared-plan cache.
         """
         from ..obs import current_span
         from .plancache import record_observed_rows
 
         physical, _, key = self._cached_physical(
-            plan,
-            optimize_first,
-            prefer_merge_join,
-            use_indexes,
-            fuse=mode == "columns",
-            parallel=parallel,
+            plan, optimize_first, prefer_merge_join, use_indexes
         )
-        result = execute(physical, mode=mode, batch_size=batch_size)
+        result = execute(physical, batch_size=batch_size)
         record_observed_rows(key, physical.estimated_rows, physical.actual_rows)
         current_span().set(operators=physical.actuals())
         return result
@@ -308,16 +290,12 @@ class Database:
         analyze: bool = False,
         batch_size: int = BATCH_SIZE,
         use_indexes: bool = True,
-        mode: str = "columns",
-        parallel: int = 0,
     ) -> str:
         """EXPLAIN output for a logical plan (after optimization).
 
-        ``mode`` selects the plan flavor shown: ``"columns"`` (default)
-        displays the fused plan — ``Fused Pipeline`` nodes and joins with
-        folded ``Output:`` lines — while ``"blocks"``/``"rows"`` show the
-        classic operator tree.  With ``analyze=True`` the plan is executed
-        in that mode first and each operator line reports the rows and
+        The plan shown is the fused one — ``Fused Pipeline`` nodes and
+        joins with folded ``Output:`` lines.  With ``analyze=True`` the plan
+        is executed first and each operator line reports the rows and
         batches it actually produced (fused pipelines report per-pipeline
         counts, since their fused-away operators no longer exist).
 
@@ -326,15 +304,10 @@ class Database:
         cache, so explaining then running a query plans it exactly once.
         """
         physical, was_cached, _key = self._cached_physical(
-            plan,
-            optimize_first,
-            prefer_merge_join,
-            use_indexes,
-            fuse=mode == "columns",
-            parallel=parallel,
+            plan, optimize_first, prefer_merge_join, use_indexes
         )
         if analyze:
-            _result, text = _explain_analyze(physical, batch_size=batch_size, mode=mode)
+            _result, text = _explain_analyze(physical, batch_size=batch_size)
         else:
             text = _explain(physical)
         return mark_cached(text) if was_cached else text

@@ -13,9 +13,9 @@ Example output::
             Filter: ((l_shipdate > '1994-01-01') AND ...)
       ->  Seq Scan on u_l_quantity  (rows=2362101)
 
-:func:`explain_analyze` additionally *runs* the plan through the block
-executor and annotates every operator with the rows and batches it actually
-produced (the analogue of ``EXPLAIN ANALYZE``)::
+:func:`explain_analyze` additionally *runs* the plan and annotates every
+operator with the rows and batches it actually produced (the analogue of
+``EXPLAIN ANALYZE``)::
 
     Hash Join  (rows=240) (actual rows=182 batches=1)
 """
@@ -43,15 +43,13 @@ def explain(plan: Union[PhysicalPlan, Plan]) -> str:
 def explain_analyze(
     plan: PhysicalPlan,
     batch_size: int = BATCH_SIZE,
-    mode: str = "columns",
     trace: bool = False,
 ):
     """Execute a physical plan and render it with actual row counts.
 
     Returns ``(result, text)`` where every operator line carries the rows
-    and batch count it produced during this execution.  ``mode`` selects
-    the executor (``"columns"`` default, or ``"blocks"``); for a fused
-    plan the counts are *per pipeline* — a ``Fused Pipeline`` line reports
+    and batch count it produced during this execution.  For a fused plan
+    the counts are *per pipeline* — a ``Fused Pipeline`` line reports
     the rows surviving its entire scan→filter→project chain, and a join
     with a folded ``Output:`` projection reports post-projection rows —
     because the fused-away operators no longer exist to count separately.
@@ -68,19 +66,17 @@ def explain_analyze(
     from ..obs import span as obs_span
     from ..obs import start_trace
 
-    if mode == "rows":
-        mode = "blocks"  # rows mode keeps no counters; blocks is equivalent
     if trace:
         with start_trace("explain_analyze", force=True) as trace_obj:
             with obs_span("execute") as exec_span:
-                result = execute(plan, mode=mode, batch_size=batch_size)
+                result = execute(plan, batch_size=batch_size)
                 exec_span.set(operators=plan.actuals())
         lines: List[str] = []
         _render_physical(plan, lines, depth=0, arrow=False, analyze=True)
         data = trace_obj.to_dict()
         data["operators"] = plan.actuals()
         return result, "\n".join(lines), data
-    result = execute(plan, mode=mode, batch_size=batch_size)
+    result = execute(plan, batch_size=batch_size)
     lines: List[str] = []
     _render_physical(plan, lines, depth=0, arrow=False, analyze=True)
     return result, "\n".join(lines)

@@ -9,7 +9,7 @@ An expression is *bound* against a :class:`~repro.relational.schema.Schema`
 once, producing a fast closure over row tuples.  Binding resolves column
 references to positions, so evaluation does no name lookups.
 
-For the block-at-a-time executor there is a faster path:
+For the executor's row-list bodies there is a faster path:
 :meth:`Expression.compile` (or :func:`compile_expression`) generates Python
 source for the whole expression tree and ``eval``-compiles it into a
 *single* callable, so evaluating a predicate costs one function call per
@@ -73,7 +73,6 @@ __all__ = [
     "columns_of",
     "equijoin_pairs",
     "compile_expression",
-    "compile_pair_expression",
     "structural_key",
     "cached_kernel",
     "compile_cache_stats",
@@ -95,7 +94,7 @@ class Expression:
 
         Semantically identical to :meth:`bind`, but the whole tree collapses
         into one generated Python function (see :func:`compile_expression`),
-        which the block executor applies per batch.
+        which the executor's row-list bodies apply per batch.
         """
         return compile_expression(self, schema)
 
@@ -554,7 +553,7 @@ def equijoin_pairs(
 
 
 # ----------------------------------------------------------------------
-# expression compilation (code generation for the block executor)
+# expression compilation (code generation for the executor)
 # ----------------------------------------------------------------------
 _INLINE_LITERALS = (int, float, str, bool, type(None))
 
@@ -903,7 +902,7 @@ def compile_expression(expression: Expression, schema: Schema) -> RowPredicate:
 
     The returned function is semantically equivalent to
     ``expression.bind(schema)`` but runs as one code object, which makes it
-    markedly faster inside the block executor's per-batch comprehensions.
+    markedly faster inside the executor's row-list comprehensions.
     Results are memoized in the compile cache.
     """
     return cached_kernel(
@@ -920,39 +919,6 @@ def _compile_expression_uncached(expression: Expression, schema: Schema) -> RowP
         return eval(compile(source, "<compiled-expression>", "eval"), generator.context)
     except SyntaxError:  # pragma: no cover - safety net for odd reprs
         return expression.bind(schema)
-
-
-def compile_pair_expression(
-    expression: Expression, left: Schema, right: Schema
-) -> Callable[[Tuple[Any, ...], Tuple[Any, ...]], Any]:
-    """Compile an expression over a concatenated schema into ``f(lrow, rrow)``.
-
-    Join operators with fused output projections use this to evaluate
-    residual predicates without materializing the concatenated row tuple.
-    """
-    combined = left.concat(right)
-    key = expression_cache_key("pair", expression, combined, len(left))
-    return cached_kernel(
-        key, lambda: _compile_pair_uncached(expression, combined, len(left))
-    )
-
-
-def _compile_pair_uncached(
-    expression: Expression, combined: Schema, split: int
-) -> Callable[[Tuple[Any, ...], Tuple[Any, ...]], Any]:
-    def ref(position: int) -> str:
-        if position < split:
-            return f"_l[{position}]"
-        return f"_r[{position - split}]"
-
-    generator = _CodeGen(combined, ref=ref)
-    body = generator.emit(expression)
-    source = f"lambda _l, _r: {body}"
-    try:
-        return eval(compile(source, "<compiled-pair-expression>", "eval"), generator.context)
-    except SyntaxError:  # pragma: no cover - safety net for odd reprs
-        bound = expression.bind(combined)
-        return lambda _l, _r: bound(_l + _r)
 
 
 def _as_equi_pair(

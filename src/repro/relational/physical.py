@@ -1,4 +1,4 @@
-"""Physical operators and plan execution (block-at-a-time, vectorized).
+"""Physical operators and plan execution (columnar, batch-at-a-time).
 
 Physical plans mirror the logical nodes but carry concrete algorithms:
 
@@ -19,38 +19,28 @@ Physical plans mirror the logical nodes but carry concrete algorithms:
 
 Execution model
 ---------------
-Three execution modes share one operator tree:
+One executor runs every plan.  Operators exchange
+:class:`~repro.relational.columnar.ColumnBatch` values — per-column
+``list``/``tuple`` vectors of at most :data:`BATCH_SIZE` (1024) rows.
+Scans slice a cached column store of the base relation, filters run one
+generated loop per batch (the predicate inlined into a single
+comprehension), projections re-select column vectors without touching
+rows, and joins emit output columns directly by gathering from their
+inputs — a downstream-folded projection means dropped columns are never
+materialized at all.  Operators whose work needs row identity (sorts,
+set operations, merge and nested-loop joins, index fetches) transpose at
+the boundary (``zip`` is C-speed) and run a row-list body per batch.
 
-* ``mode="columns"`` (the default) exchanges
-  :class:`~repro.relational.columnar.ColumnBatch` values — per-column
-  ``list``/``tuple`` vectors.  Scans slice a cached column store of the
-  base relation, filters run one generated loop per batch (the predicate
-  inlined into a single comprehension), projections re-select column
-  vectors without touching rows, and joins emit output columns directly by
-  gathering from their inputs — a downstream-folded projection means
-  dropped columns are never materialized at all.  Operators without a
-  native columnar implementation transpose their row batches at the
-  boundary (``zip`` is C-speed), so the mode is total.
-* ``mode="blocks"`` exchanges *batches* — plain lists of row tuples, at
-  most :data:`BATCH_SIZE` (1024) rows each.  Work inside a batch is tight
-  list comprehensions over *compiled* expressions
-  (:meth:`Expression.compile` collapses a predicate tree into a single
-  generated Python callable) and ``operator.itemgetter`` projections.
-* ``mode="rows"`` is the legacy tuple-at-a-time iterator path
-  (``rows()``), kept as the PR 1 measurement baseline.
-
-Every operator implements ``_batches(size)`` (and optionally
-``_column_batches(size)``); the inherited wrappers
-:meth:`PhysicalPlan.batches` / :meth:`PhysicalPlan.column_batches` track
-the ``actual_rows`` / ``actual_batches`` counters that ``EXPLAIN ANALYZE``
+Every operator implements one production method, ``_column_batches(size)``;
+the inherited wrapper :meth:`PhysicalPlan.column_batches` tracks the
+``actual_rows`` / ``actual_batches`` counters that ``EXPLAIN ANALYZE``
 reports — for a fused pipeline the counters are per-pipeline, not
-per-fused-away-operator.  All modes produce identical relations (property
-tests assert this on randomized plans) and the benchmarks report their
-head-to-head speedups.
+per-fused-away-operator.  Property tests check the executor against the
+naive reference interpreter of :mod:`repro.relational.reference`.
 
-The planner can additionally *fuse* maximal scan→filter→project chains
-into single :class:`FusedPipeline` operators and fold projections into
-join emits (``set_output``); see :mod:`repro.relational.planner`.
+The planner *fuses* maximal scan→filter→project chains into single
+:class:`FusedPipeline` operators and folds projections into join emits
+(``set_output``); see :mod:`repro.relational.planner`.
 
 Operators also expose ``explain_label`` and estimated cardinality for
 EXPLAIN output.
@@ -58,10 +48,6 @@ EXPLAIN output.
 
 from __future__ import annotations
 
-import bisect
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,7 +58,7 @@ from .columnar import (
     selection_kernel,
     side_kernel,
 )
-from .expressions import Expression, Param, cached_kernel, compile_pair_expression
+from .expressions import Expression, Param
 from .index import HashIndex, Index, SortedIndex, built_indexes_on
 from .relation import Relation, _sort_key
 from .schema import Schema
@@ -85,7 +71,6 @@ __all__ = [
     "SeqScan",
     "IndexScan",
     "FusedPipeline",
-    "ParallelScan",
     "Filter",
     "Projection",
     "ProjectionAs",
@@ -135,31 +120,12 @@ def _key_is_null(key: Any, single: bool) -> bool:
     return None in key
 
 
-def _pair_emitter(
-    positions: Sequence[int], split: int
-) -> Callable[[Row, Row], Row]:
-    """A generated ``f(lrow, rrow) -> output tuple`` for folded projections.
-
-    ``positions`` index the concatenated (left ++ right) schema; ``split``
-    is the left width.  Joins with a folded downstream projection use this
-    to emit output rows without materializing the concatenated tuple.
-    """
-    parts = ", ".join(
-        f"_l[{p}]" if p < split else f"_r[{p - split}]" for p in positions
-    )
-    source = f"lambda _l, _r: ({parts},)" if positions else "lambda _l, _r: ()"
-    return cached_kernel(
-        ("pair-emit", split, tuple(positions)),
-        lambda: eval(compile(source, "<pair-emitter>", "eval"), {"__builtins__": {}}),
-    )
-
-
 class PhysicalPlan:
     """Base class for physical operators."""
 
     schema: Schema
     estimated_rows: float = 0.0
-    #: Runtime statistics, populated when a ``batches()`` scan completes.
+    #: Runtime statistics, populated when a ``column_batches()`` scan completes.
     actual_rows: Optional[int] = None
     actual_batches: Optional[int] = None
     #: True for operators that pass rows through unchanged (schema-only
@@ -171,42 +137,12 @@ class PhysicalPlan:
     def children(self) -> Tuple["PhysicalPlan", ...]:
         return ()
 
-    def rows(self) -> Iterator[Row]:
-        """Legacy tuple-at-a-time iterator (``mode="rows"``)."""
-        raise NotImplementedError
-
-    def batches(self, size: int = BATCH_SIZE) -> Iterator[Batch]:
-        """Block-at-a-time iterator with runtime row/batch accounting.
-
-        Non-positive ``size`` degrades to 1 (tuple-at-a-time batches)
-        rather than erroring, so callers can sweep batch sizes freely.
-        """
-        if size <= 0:
-            size = 1
-        produced_rows = 0
-        produced_batches = 0
-        for batch in self._batches(size):
-            produced_rows += len(batch)
-            produced_batches += 1
-            yield batch
-        self.actual_rows = produced_rows
-        self.actual_batches = produced_batches
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        """Operator-specific batch production; default chunks ``rows()``."""
-        batch: Batch = []
-        append = batch.append
-        for row in self.rows():
-            append(row)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
-
     def column_batches(self, size: int = BATCH_SIZE) -> Iterator[ColumnBatch]:
-        """Columnar iterator with the same runtime accounting as ``batches``."""
+        """Batch-at-a-time iterator with runtime row/batch accounting.
+
+        Non-positive ``size`` degrades to 1 (one-row batches) rather than
+        erroring, so callers can sweep batch sizes freely.
+        """
         if size <= 0:
             size = 1
         produced_rows = 0
@@ -219,15 +155,8 @@ class PhysicalPlan:
         self.actual_batches = produced_batches
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        """Operator-specific columnar production.
-
-        The default transposes the row-batch path at the boundary, so every
-        operator participates in ``mode="columns"``; hot operators override
-        this with native columnar implementations.
-        """
-        width = len(self.schema)
-        for batch in self._batches(size):
-            yield ColumnBatch.from_rows(batch, width)
+        """Operator-specific batch production."""
+        raise NotImplementedError
 
     def explain_label(self) -> str:
         return type(self).__name__
@@ -259,7 +188,7 @@ class PhysicalPlan:
 
         Derived statically from the plan: base scans consult the cached
         per-column nullability of their relation, and row-preserving
-        operators delegate by position.  The columnar executor selects
+        operators delegate by position.  The executor selects
         NULL-guard-free kernel bodies when every referenced column is
         provably clean; ``True`` (the safe default) keeps the guards.
         """
@@ -274,62 +203,46 @@ def _chunks(rows: List[Row], size: int) -> Iterator[Batch]:
         yield rows[start : start + size]
 
 
-def _drain(plan: PhysicalPlan, size: int) -> List[Row]:
-    """All rows of a plan via its batch interface (keeps stats accurate)."""
-    out: List[Row] = []
-    for batch in plan.batches(size):
-        out.extend(batch)
-    return out
+def _row_batches(plan: PhysicalPlan, size: int) -> Iterator[Batch]:
+    """A child's batches as row lists, for operators with row-list bodies."""
+    for batch in plan.column_batches(size):
+        yield batch.to_rows()
+
+
+def _all_rows(plan: PhysicalPlan, size: int) -> List[Row]:
+    """Every row of a child, through its accounted batch interface."""
+    rows: List[Row] = []
+    for batch in plan.column_batches(size):
+        rows.extend(batch.to_rows())
+    return rows
+
+
+def _as_columns(batches: Iterator[Batch], width: int) -> Iterator[ColumnBatch]:
+    """Transpose a row-list body's non-empty output batches to columns."""
+    for batch in batches:
+        if batch:
+            yield ColumnBatch.from_rows(batch, width)
 
 
 class SeqScan(PhysicalPlan):
-    """Sequential scan over a materialized base relation.
+    """Sequential scan over a materialized base relation."""
 
-    ``start``/``stop`` bound the scan to a contiguous row range — the
-    partition a :class:`ParallelScan` worker covers.  The default covers
-    the whole relation; bounded scans slice the same cached column store,
-    so the partitions of a parallel scan share one store.
-    """
-
-    def __init__(
-        self,
-        relation: Relation,
-        name: str = "relation",
-        alias: Optional[str] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ):
+    def __init__(self, relation: Relation, name: str = "relation", alias: Optional[str] = None):
         self.relation = relation
         self.name = name
         self.alias = alias
-        total = len(relation.rows)
-        self.start = max(0, start)
-        self.stop = total if stop is None else min(stop, total)
         self.schema = relation.schema.qualify(alias) if alias else relation.schema
-        self.estimated_rows = float(max(self.stop - self.start, 0))
-
-    def rows(self) -> Iterator[Row]:
-        if self.start == 0 and self.stop == len(self.relation.rows):
-            return iter(self.relation.rows)
-        return iter(self.relation.rows[self.start : self.stop])
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        rows = self.relation.rows
-        for s in range(self.start, self.stop, size):
-            yield rows[s : min(s + size, self.stop)]
+        self.estimated_rows = float(len(relation.rows))
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         store = self.relation.column_store()
-        for s in range(self.start, self.stop, size):
-            e = min(s + size, self.stop)
+        total = len(self.relation.rows)
+        for s in range(0, total, size):
+            e = min(s + size, total)
             yield ColumnBatch([c[s:e] for c in store], e - s)
 
     def column_nullable(self, position: int) -> bool:
         return self.relation.column_has_null(position)
-
-    def bounded(self, start: int, stop: int) -> "SeqScan":
-        """A copy of this scan restricted to ``[start, stop)``."""
-        return SeqScan(self.relation, self.name, self.alias, start=start, stop=stop)
 
     def explain_label(self) -> str:
         if self.alias:
@@ -413,7 +326,6 @@ class IndexScan(PhysicalPlan):
         self.index_cond = index_cond
         self.probe = probe
         self.residual = residual
-        self._bound_residual = residual.bind(schema) if residual is not None else None
         self._compiled_residual = residual.compile(schema) if residual is not None else None
         self.estimated_rows = float(len(index))
 
@@ -440,20 +352,23 @@ class IndexScan(PhysicalPlan):
             lower, upper, self.lower_inclusive, self.upper_inclusive
         )
 
-    def rows(self) -> Iterator[Row]:
-        residual = self._bound_residual
-        if residual is None:
-            return iter(self._matched())
-        return (row for row in self._matched() if residual(row))
+    def matched_rows(self) -> List[Row]:
+        """The fetched rows that pass the residual, as one row list.
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+        Index fetches yield row tuples, so the residual runs per row here
+        and the batches are transposed once; a :class:`FusedPipeline` over
+        this scan runs its row kernel on the chunks of this list instead.
+        """
         matched = self._matched()
         residual = self._compiled_residual
         if residual is not None:
-            matched = [row for row in matched if residual(row)]
-        elif not isinstance(matched, list):
-            matched = list(matched)
-        return _chunks(matched, size)
+            return [row for row in matched if residual(row)]
+        return matched if isinstance(matched, list) else list(matched)
+
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        width = len(self.schema)
+        for chunk in _chunks(self.matched_rows(), size):
+            yield ColumnBatch.from_rows(chunk, width)
 
     def explain_label(self) -> str:
         target = f"{self.name} {self.alias}" if self.alias else self.name
@@ -482,11 +397,12 @@ class FusedPipeline(PhysicalPlan):
     never move columns, so positions are stable) and ``positions`` are the
     output columns as source positions; either may be ``None``.
 
-    Row mode runs one generated list comprehension per batch — predicate
-    inlined, output tuple built in place, no per-row callable invocations.
-    Column mode evaluates the predicate as a vector kernel over the scan's
-    column store and gathers only the output columns, so dropped columns
-    are never materialized.
+    Over a ``SeqScan`` the predicate runs as a vector kernel over the
+    scan's column store and only the output columns are gathered, so
+    dropped columns are never materialized.  Over an ``IndexScan`` (whose
+    fetches are row tuples anyway) one generated list comprehension runs
+    per chunk of matched rows — predicate inlined, output tuple built in
+    place — and the result is transposed once.
     """
 
     def __init__(
@@ -508,34 +424,30 @@ class FusedPipeline(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.source,)
 
-    def rows(self) -> Iterator[Row]:
-        kernel = pipeline_kernel(self.predicate, self.positions, self.source.schema)
-        for batch in self.source.batches(BATCH_SIZE):
-            yield from kernel(batch)
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        kernel = pipeline_kernel(self.predicate, self.positions, self.source.schema)
-        for batch in self.source.batches(size):
-            out = kernel(batch)
-            if out:
-                yield out
+    def _index_batches(self, size: int) -> Iterator[ColumnBatch]:
+        """Run the row kernel over an index scan's matched-row chunks."""
+        source = self.source
+        kernel = pipeline_kernel(self.predicate, self.positions, source.schema)
+        matched = source.matched_rows()
+        yield from _as_columns(
+            (kernel(chunk) for chunk in _chunks(matched, size)), len(self.schema)
+        )
+        # the scan's own accounting, as if drained through column_batches
+        source.actual_rows = len(matched)
+        source.actual_batches = -(-len(matched) // size)
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        if not isinstance(self.source, SeqScan):
-            # index scans materialize row tuples anyway; run the row kernel
-            # and transpose once at the boundary
-            width = len(self.schema)
-            for batch in self._batches(size):
-                yield ColumnBatch.from_rows(batch, width)
+        if isinstance(self.source, IndexScan):
+            yield from self._index_batches(size)
             return
         if self.predicate is not None:
             # the scan's base relation has cached per-column nullability:
             # provably NULL-free predicates run without NULL guards
             from .expressions import has_null_literal
 
-            relation = self.source.relation
+            source = self.source
             assume = not has_null_literal(self.predicate) and not any(
-                relation.column_has_null(self.source.schema.resolve(name))
+                source.column_nullable(source.schema.resolve(name))
                 for name in self.predicate.columns()
             )
             select = selection_kernel(
@@ -583,173 +495,18 @@ class FusedPipeline(PhysicalPlan):
         return self.source.column_nullable(position)
 
 
-#: Shared worker pool for partition-parallel scans, created on first use.
-#: One process-wide pool (not per-plan): cached plans are executed by many
-#: sessions concurrently and must not each spin up threads.  Scan tasks
-#: are leaves — they never submit to the pool themselves — so the pool
-#: cannot deadlock on itself.
-_SCAN_POOL: Optional[ThreadPoolExecutor] = None
-_SCAN_POOL_LOCK = threading.Lock()
-
-#: A partition below this many rows is not worth a thread handoff.
-PARALLEL_MIN_PARTITION_ROWS = 256
-
-
-def _scan_pool() -> ThreadPoolExecutor:
-    global _SCAN_POOL
-    if _SCAN_POOL is None:
-        with _SCAN_POOL_LOCK:
-            if _SCAN_POOL is None:
-                workers = max(2, min(8, os.cpu_count() or 1))
-                _SCAN_POOL = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-scan"
-                )
-    return _SCAN_POOL
-
-
-class ParallelScan(PhysicalPlan):
-    """Partition-parallel scan: a gather over K range partitions.
-
-    The planner wraps a :class:`FusedPipeline` over a :class:`SeqScan` (or
-    a bare ``SeqScan``) when the scanned relation is large enough
-    (``Planner(parallel=K)``).  Execution splits the relation's row range
-    into K contiguous partitions, runs the *same* fused
-    scan→filter→project pipeline per partition on the shared worker pool
-    (each worker slices the one cached column store — no data is copied),
-    and concatenates the partitions' batch streams in partition order, so
-    output order is byte-identical to the serial scan.
-
-    The operator is re-entrant like every other: partition clones and
-    futures are per-execution state, so one cached plan serves N
-    concurrent sessions.  On a GIL build the win is overlap (a long scan
-    no longer monopolizes a serving thread between batches) rather than
-    CPU parallelism; on free-threaded builds the partitions genuinely run
-    in parallel.  Falls back to the serial pipeline when the relation is
-    too small to be worth the thread handoff.
-    """
-
-    def __init__(self, pipeline: PhysicalPlan, workers: int):
-        if isinstance(pipeline, FusedPipeline):
-            source = pipeline.source
-        else:
-            source = pipeline
-        if not isinstance(source, SeqScan):
-            raise ValueError("ParallelScan requires a (fused) sequential base scan")
-        self.pipeline = pipeline
-        self.source = source
-        self.workers = max(2, int(workers))
-        self.schema = pipeline.schema
-        self.estimated_rows = pipeline.estimated_rows
-
-    @property
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.pipeline,)
-
-    def _partitions(self) -> Optional[List[Tuple[int, int]]]:
-        """Contiguous ``[start, stop)`` ranges, or None for serial.
-
-        Cut points snap to the scanned relation's *segment boundaries*
-        (when one lies within half a partition step): a worker whose
-        slice starts at a segment start reads whole cached per-segment
-        column runs instead of straddling two appended segments.  The
-        snap is best-effort — a relation that is one giant base segment
-        still splits evenly rather than collapsing to a serial scan.
-        """
-        start, stop = self.source.start, self.source.stop
-        total = stop - start
-        k = min(self.workers, total // PARALLEL_MIN_PARTITION_ROWS)
-        if k <= 1:
-            return None
-        step = (total + k - 1) // k
-        cuts = list(range(start + step, stop, step))
-        boundaries = [
-            b for b in self.source.relation.segment_boundaries() if start < b < stop
-        ]
-        if boundaries:
-            snapped = []
-            for cut in cuts:
-                i = bisect.bisect_left(boundaries, cut)
-                near = boundaries[max(0, i - 1) : i + 1]
-                best = min(near, key=lambda b: abs(b - cut))
-                snapped.append(best if abs(best - cut) * 2 <= step else cut)
-            cuts = snapped
-        edges = [start] + sorted(set(cuts)) + [stop]
-        ranges = [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
-        return ranges if len(ranges) > 1 else None
-
-    def _clone(self, start: int, stop: int) -> PhysicalPlan:
-        bounded = self.source.bounded(start, stop)
-        if isinstance(self.pipeline, FusedPipeline):
-            return FusedPipeline(
-                bounded,
-                self.pipeline.predicate,
-                self.pipeline.positions,
-                self.pipeline.schema,
-            )
-        return bounded
-
-    def _gather(self, size: int, method: str) -> Iterator[Any]:
-        """Run the per-partition pipelines on the pool, merge in order."""
-        ranges = self._partitions()
-        if ranges is None:
-            yield from getattr(self.pipeline, method)(size)
-            return
-        pool = _scan_pool()
-
-        def work(bounds: Tuple[int, int]) -> List[Any]:
-            clone = self._clone(*bounds)
-            return list(getattr(clone, method)(size))
-
-        futures = [pool.submit(work, bounds) for bounds in ranges]
-        for future in futures:  # partition order == relation order
-            yield from future.result()
-
-    def rows(self) -> Iterator[Row]:
-        return self.pipeline.rows()
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        return self._gather(size, "batches")
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        return self._gather(size, "column_batches")
-
-    def column_nullable(self, position: int) -> bool:
-        return self.pipeline.column_nullable(position)
-
-    def explain_label(self) -> str:
-        return "Gather"
-
-    def explain_details(self) -> List[str]:
-        return [f"Workers Planned: {self.workers}"]
-
-
 class Filter(PhysicalPlan):
     """Row filter by a bound predicate."""
 
     def __init__(self, child: PhysicalPlan, predicate: Expression):
         self.child = child
         self.predicate = predicate
-        self._bound = predicate.bind(child.schema)
-        self._compiled = predicate.compile(child.schema)
         self.schema = child.schema
         self.estimated_rows = child.estimated_rows
 
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
-
-    def rows(self) -> Iterator[Row]:
-        bound = self._bound
-        for row in self.child.rows():
-            if bound(row):
-                yield row
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        predicate = self._compiled
-        for batch in self.child.batches(size):
-            kept = [row for row in batch if predicate(row)]
-            if kept:
-                yield kept
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         kernel = selection_kernel(self.predicate, self.child.schema)
@@ -788,16 +545,6 @@ class Projection(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        positions = self.positions
-        for row in self.child.rows():
-            yield tuple(row[i] for i in positions)
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        project = _projector(self.positions)
-        for batch in self.child.batches(size):
-            yield [project(row) for row in batch]
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         # columnar projection is column re-selection: no per-row work at all
         positions = self.positions
@@ -831,16 +578,6 @@ class ProjectionAs(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        positions = self.positions
-        for row in self.child.rows():
-            yield tuple(row[i] for i in positions)
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        project = _projector(self.positions)
-        for batch in self.child.batches(size):
-            yield [project(row) for row in batch]
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         positions = self.positions
         for batch in self.child.column_batches(size):
@@ -862,8 +599,6 @@ class ExtendOp(PhysicalPlan):
     def __init__(self, child: PhysicalPlan, items: Sequence[Tuple[str, Expression]]):
         self.child = child
         self.items = list(items)
-        self._bound = [expr.bind(child.schema) for _, expr in self.items]
-        self._compiled = [expr.compile(child.schema) for _, expr in self.items]
         attrs = list(child.schema.attributes)
         for name, _expr in self.items:
             attrs.append(child.schema.attributes[0].renamed(name))
@@ -873,25 +608,6 @@ class ExtendOp(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
-
-    def rows(self) -> Iterator[Row]:
-        bound = self._bound
-        for row in self.child.rows():
-            yield row + tuple(fn(row) for fn in bound)
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        fns = self._compiled
-        if len(fns) == 1:
-            f0 = fns[0]
-            for batch in self.child.batches(size):
-                yield [row + (f0(row),) for row in batch]
-        elif len(fns) == 2:
-            f0, f1 = fns
-            for batch in self.child.batches(size):
-                yield [row + (f0(row), f1(row)) for row in batch]
-        else:
-            for batch in self.child.batches(size):
-                yield [row + tuple(fn(row) for fn in fns) for row in batch]
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         from .columnar import map_kernel
@@ -948,10 +664,6 @@ class HashJoin(PhysicalPlan):
         self.output_positions: Optional[List[int]] = None
         self.left_positions = [left.schema.resolve(l) for l, _ in self.pairs]
         self.right_positions = [right.schema.resolve(r) for _, r in self.pairs]
-        self._bound_residual = residual.bind(self._combined) if residual is not None else None
-        self._compiled_residual = (
-            residual.compile(self._combined) if residual is not None else None
-        )
         self.estimated_rows = max(left.estimated_rows, right.estimated_rows)
 
     def set_output(self, positions: Sequence[int], schema: Schema) -> None:
@@ -963,47 +675,11 @@ class HashJoin(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def rows(self) -> Iterator[Row]:
-        build_left = self.build == "left"
-        build_plan, build_positions = (
-            (self.left, self.left_positions)
-            if build_left
-            else (self.right, self.right_positions)
-        )
-        probe_plan, probe_positions = (
-            (self.right, self.right_positions)
-            if build_left
-            else (self.left, self.left_positions)
-        )
-        table: Dict[Tuple[Any, ...], List[Row]] = {}
-        for row in build_plan.rows():
-            key = tuple(row[i] for i in build_positions)
-            if any(v is None for v in key):
-                continue  # NULLs never join
-            table.setdefault(key, []).append(row)
-        residual = self._bound_residual
-        project = (
-            _projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-        for prow in probe_plan.rows():
-            key = tuple(prow[i] for i in probe_positions)
-            if any(v is None for v in key):
-                continue
-            for brow in table.get(key, ()):
-                out = brow + prow if build_left else prow + brow
-                if residual is None or residual(out):
-                    yield out if project is None else project(out)
-
-    def _build_table(
-        self, size: int, columnar: bool = False
-    ) -> Dict[Any, List[Row]]:
+    def _build_table(self, size: int) -> Dict[Any, List[Row]]:
         """Hash the build side (NULL keys excluded, as NULLs never join).
 
-        ``columnar=True`` drains the build child through the column
-        protocol (keeping its pipeline columnar) and transposes each batch
-        at the boundary; buckets always hold row tuples.
+        Keys come straight off the build side's column vectors and rows
+        from one C-speed transpose per batch; buckets hold row tuples.
         """
         single = len(self.pairs) == 1
         build_left = self.build == "left"
@@ -1014,118 +690,17 @@ class HashJoin(PhysicalPlan):
         )
         table: Dict[Any, List[Row]] = {}
         setdefault = table.setdefault
-        if columnar:
-            # keys come straight off the build side's column vectors and
-            # rows from one C-speed transpose per batch
-            for cb in build_plan.column_batches(size):
-                rows = cb.to_rows()
-                if single:
-                    keys: Any = cb.columns[build_positions[0]]
-                else:
-                    keys = zip(*(cb.columns[p] for p in build_positions))
-                for key, row in zip(keys, rows):
-                    if _key_is_null(key, single):
-                        continue
-                    setdefault(key, []).append(row)
-            return table
-        bkey = _keyer(build_positions)
-        for batch in build_plan.batches(size):
-            for row in batch:
-                key = bkey(row)
+        for cb in build_plan.column_batches(size):
+            rows = cb.to_rows()
+            if single:
+                keys: Any = cb.columns[build_positions[0]]
+            else:
+                keys = zip(*(cb.columns[p] for p in build_positions))
+            for key, row in zip(keys, rows):
                 if _key_is_null(key, single):
                     continue
                 setdefault(key, []).append(row)
         return table
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        if self.output_positions is not None:
-            yield from self._batches_projected(size)
-            return
-        single = len(self.pairs) == 1
-        build_left = self.build == "left"
-        probe_plan, probe_positions = (
-            (self.right, self.right_positions)
-            if build_left
-            else (self.left, self.left_positions)
-        )
-        table = self._build_table(size)
-        pkey = _keyer(probe_positions)
-        residual = self._compiled_residual
-        get = table.get
-        out: Batch = []
-        for batch in probe_plan.batches(size):
-            for prow in batch:
-                key = pkey(prow)
-                if _key_is_null(key, single):
-                    continue
-                bucket = get(key)
-                if not bucket:
-                    continue
-                if residual is None:
-                    if build_left:
-                        out.extend(brow + prow for brow in bucket)
-                    else:
-                        out.extend(prow + brow for brow in bucket)
-                elif build_left:
-                    for brow in bucket:
-                        joined = brow + prow
-                        if residual(joined):
-                            out.append(joined)
-                else:
-                    for brow in bucket:
-                        joined = prow + brow
-                        if residual(joined):
-                            out.append(joined)
-                if len(out) >= size:
-                    yield out
-                    out = []
-        if out:
-            yield out
-
-    def _batches_projected(self, size: int) -> Iterator[Batch]:
-        """Probe loop with a folded projection: emits output tuples directly
-        from the two input rows — the concatenated row never exists."""
-        single = len(self.pairs) == 1
-        build_left = self.build == "left"
-        probe_plan, probe_positions = (
-            (self.right, self.right_positions)
-            if build_left
-            else (self.left, self.left_positions)
-        )
-        table = self._build_table(size)
-        pkey = _keyer(probe_positions)
-        split = len(self.left.schema)
-        emit = _pair_emitter(self.output_positions, split)
-        residual = (
-            compile_pair_expression(self.residual, self.left.schema, self.right.schema)
-            if self.residual is not None
-            else None
-        )
-        get = table.get
-        out: Batch = []
-        append = out.append
-        for batch in probe_plan.batches(size):
-            for prow in batch:
-                key = pkey(prow)
-                if _key_is_null(key, single):
-                    continue
-                bucket = get(key)
-                if not bucket:
-                    continue
-                if build_left:
-                    for brow in bucket:
-                        if residual is None or residual(brow, prow):
-                            append(emit(brow, prow))
-                else:
-                    for brow in bucket:
-                        if residual is None or residual(prow, brow):
-                            append(emit(prow, brow))
-                if len(out) >= size:
-                    yield out
-                    out = []
-                    append = out.append
-        if out:
-            yield out
 
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         """Columnar probe: the probe input arrives as column vectors, and
@@ -1141,7 +716,7 @@ class HashJoin(PhysicalPlan):
         build_plan = self.left if build_left else self.right
         split = len(self.left.schema)
         probe_is_left = not build_left
-        table = self._build_table(size, columnar=True)
+        table = self._build_table(size)
         get = table.get
         positions = (
             self.output_positions
@@ -1324,10 +899,6 @@ class IndexNestedLoopJoin(PhysicalPlan):
         #: Folded downstream projection (positions into the concatenated
         #: schema), set by the planner's fusion pass via :meth:`set_output`.
         self.output_positions: Optional[List[int]] = None
-        self._bound_residual = residual.bind(self._combined) if residual is not None else None
-        self._compiled_residual = (
-            residual.compile(self._combined) if residual is not None else None
-        )
         self.estimated_rows = max(outer.estimated_rows, inner.estimated_rows)
 
     def set_output(self, positions: Sequence[int], schema: Schema) -> None:
@@ -1338,177 +909,6 @@ class IndexNestedLoopJoin(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.outer, self.inner)
-
-    def _probe(self, key: Any) -> Sequence[Row]:
-        """Matched inner rows for a key, after the inner-side filters."""
-        bucket = self.index.lookup(key)
-        if not bucket or not self.inner_filters:
-            return bucket
-        filters = self.inner_filters
-        if len(filters) == 1:
-            predicate = filters[0]
-            return [row for row in bucket if predicate(row)]
-        return [row for row in bucket if all(f(row) for f in filters)]
-
-    def rows(self) -> Iterator[Row]:
-        single = len(self.outer_positions) == 1
-        key = _keyer(self.outer_positions)
-        probe = self._probe
-        residual = self._bound_residual
-        flipped = self.flipped
-        project = (
-            _projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-        for orow in self.outer.rows():
-            k = key(orow)
-            if _key_is_null(k, single):
-                continue
-            for irow in probe(k):
-                out = irow + orow if flipped else orow + irow
-                if residual is None or residual(out):
-                    yield out if project is None else project(out)
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        if self.output_positions is not None:
-            yield from self._batches_projected(size)
-            return
-        # hot path: everything hoisted out of the per-row loop (index
-        # lookup as a bare dict.get for hash indexes, single-column keys
-        # read by position, single compiled filter unwrapped, one-row
-        # buckets — the typical tid-index case — handled without a list
-        # comprehension allocation)
-        single = len(self.outer_positions) == 1
-        position = self.outer_positions[0] if single else -1
-        key = None if single else _keyer(self.outer_positions)
-        lookup = self.index.lookup_fn()
-        filters = self.inner_filters
-        only_filter = filters[0] if len(filters) == 1 else None
-        residual = self._compiled_residual
-        flipped = self.flipped
-        out: Batch = []
-        append = out.append
-        for batch in self.outer.batches(size):
-            for orow in batch:
-                if single:
-                    k = orow[position]
-                    if k is None:
-                        continue
-                else:
-                    k = key(orow)
-                    if None in k:
-                        continue
-                bucket = lookup(k)
-                if not bucket:
-                    continue
-                if only_filter is not None:
-                    if len(bucket) == 1:
-                        irow = bucket[0]
-                        if not only_filter(irow):
-                            continue
-                        joined = irow + orow if flipped else orow + irow
-                        if residual is None or residual(joined):
-                            append(joined)
-                            if len(out) >= size:
-                                yield out
-                                out = []
-                                append = out.append
-                        continue
-                    bucket = [irow for irow in bucket if only_filter(irow)]
-                    if not bucket:
-                        continue
-                elif filters:
-                    bucket = [
-                        irow for irow in bucket if all(f(irow) for f in filters)
-                    ]
-                    if not bucket:
-                        continue
-                if residual is None:
-                    if flipped:
-                        out.extend(irow + orow for irow in bucket)
-                    else:
-                        out.extend(orow + irow for irow in bucket)
-                elif flipped:
-                    for irow in bucket:
-                        joined = irow + orow
-                        if residual(joined):
-                            append(joined)
-                else:
-                    for irow in bucket:
-                        joined = orow + irow
-                        if residual(joined):
-                            append(joined)
-                if len(out) >= size:
-                    yield out
-                    out = []
-                    append = out.append
-        if out:
-            yield out
-
-    def _batches_projected(self, size: int) -> Iterator[Batch]:
-        """Probe loop with a folded projection: output tuples are emitted
-        straight from (outer row, probed inner row) pairs."""
-        single = len(self.outer_positions) == 1
-        position = self.outer_positions[0] if single else -1
-        key = None if single else _keyer(self.outer_positions)
-        lookup = self.index.lookup_fn()
-        filters = self.inner_filters
-        only_filter = filters[0] if len(filters) == 1 else None
-        flipped = self.flipped
-        left_schema = self.inner.schema if flipped else self.outer.schema
-        right_schema = self.outer.schema if flipped else self.inner.schema
-        emit = _pair_emitter(self.output_positions, len(left_schema))
-        residual = (
-            compile_pair_expression(self.residual, left_schema, right_schema)
-            if self.residual is not None
-            else None
-        )
-        out: Batch = []
-        append = out.append
-        for batch in self.outer.batches(size):
-            for orow in batch:
-                if single:
-                    k = orow[position]
-                    if k is None:
-                        continue
-                else:
-                    k = key(orow)
-                    if None in k:
-                        continue
-                bucket = lookup(k)
-                if not bucket:
-                    continue
-                if only_filter is not None:
-                    if len(bucket) == 1:  # the typical tid-index case
-                        if not only_filter(bucket[0]):
-                            continue
-                    else:
-                        bucket = [irow for irow in bucket if only_filter(irow)]
-                        if not bucket:
-                            continue
-                elif filters:
-                    bucket = [
-                        irow
-                        for irow in bucket
-                        if all(f(irow) for f in filters)
-                    ]
-                    if not bucket:
-                        continue
-                if flipped:
-                    for irow in bucket:
-                        if residual is None or residual(irow, orow):
-                            append(emit(irow, orow))
-                else:
-                    for irow in bucket:
-                        if residual is None or residual(orow, irow):
-                            append(emit(orow, irow))
-                if len(out) >= size:
-                    yield out
-                    out = []
-                    append = out.append
-        if out:
-            yield out
 
     def _fused_probe(self):
         """-> (generated fused probe kernel, inner side NULL-free) or None."""
@@ -1719,13 +1119,9 @@ class SemiJoinOp(PhysicalPlan):
         )
         self.residual = conjunction(residual_list) if residual_list else None
         combined = left.schema.concat(right.schema)
-        self._bound_residual = (
-            self.residual.bind(combined) if self.residual is not None else None
-        )
         self._compiled_residual = (
             self.residual.compile(combined) if self.residual is not None else None
         )
-        self._bound_full = predicate.bind(combined)
         self._compiled_full = predicate.compile(combined)
         self.left_positions = [left.schema.resolve(l) for l, _ in self.pairs]
         self.right_positions = [right.schema.resolve(r) for _, r in self.pairs]
@@ -1735,57 +1131,17 @@ class SemiJoinOp(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def rows(self) -> Iterator[Row]:
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         if self.pairs:
-            yield from self._hash_rows()
-        else:
-            yield from self._loop_rows()
+            return _as_columns(self._hash_matches(size), len(self.schema))
+        return _as_columns(self._loop_matches(size), len(self.schema))
 
-    def _hash_rows(self) -> Iterator[Row]:
-        table: Dict[Tuple[Any, ...], List[Row]] = {}
-        right_positions = self.right_positions
-        for rrow in self.right.rows():
-            key = tuple(rrow[i] for i in right_positions)
-            if any(v is None for v in key):
-                continue
-            table.setdefault(key, []).append(rrow)
-        left_positions = self.left_positions
-        residual = self._bound_residual
-        for lrow in self.left.rows():
-            key = tuple(lrow[i] for i in left_positions)
-            if any(v is None for v in key):
-                continue
-            bucket = table.get(key)
-            if not bucket:
-                continue
-            if residual is None:
-                yield lrow
-                continue
-            for rrow in bucket:
-                if residual(lrow + rrow):
-                    yield lrow
-                    break
-
-    def _loop_rows(self) -> Iterator[Row]:
-        bound = self._bound_full
-        for lrow in self.left.rows():
-            for rrow in self.right.rows():
-                if bound(lrow + rrow):
-                    yield lrow
-                    break
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        if self.pairs:
-            yield from self._hash_batches(size)
-        else:
-            yield from self._loop_batches(size)
-
-    def _hash_batches(self, size: int) -> Iterator[Batch]:
+    def _hash_matches(self, size: int) -> Iterator[Batch]:
         single = len(self.pairs) == 1
         rkey = _keyer(self.right_positions)
         table: Dict[Any, List[Row]] = {}
         setdefault = table.setdefault
-        for batch in self.right.batches(size):
+        for batch in _row_batches(self.right, size):
             for rrow in batch:
                 key = rkey(rrow)
                 if _key_is_null(key, single):
@@ -1794,7 +1150,7 @@ class SemiJoinOp(PhysicalPlan):
         lkey = _keyer(self.left_positions)
         residual = self._compiled_residual
         get = table.get
-        for batch in self.left.batches(size):
+        for batch in _row_batches(self.left, size):
             out: Batch = []
             for lrow in batch:
                 key = lkey(lrow)
@@ -1810,21 +1166,19 @@ class SemiJoinOp(PhysicalPlan):
                     if residual(lrow + rrow):
                         out.append(lrow)
                         break
-            if out:
-                yield out
+            yield out
 
-    def _loop_batches(self, size: int) -> Iterator[Batch]:
+    def _loop_matches(self, size: int) -> Iterator[Batch]:
         bound = self._compiled_full
-        right_rows = _drain(self.right, size)
-        for batch in self.left.batches(size):
+        right_rows = _all_rows(self.right, size)
+        for batch in _row_batches(self.left, size):
             out: Batch = []
             for lrow in batch:
                 for rrow in right_rows:
                     if bound(lrow + rrow):
                         out.append(lrow)
                         break
-            if out:
-                yield out
+            yield out
 
     def explain_label(self) -> str:
         return "Hash Semi Join" if self.pairs else "Semi Join"
@@ -1861,22 +1215,10 @@ class Sort(PhysicalPlan):
 
         return key
 
-    def rows(self) -> Iterator[Row]:
-        return iter(sorted(self.child.rows(), key=self._key()))
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        gathered = _drain(self.child, size)
-        gathered.sort(key=self._key())
-        return _chunks(gathered, size)
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        gathered: List[Row] = []
-        for batch in self.child.column_batches(size):
-            gathered.extend(batch.to_rows())
+        gathered = _all_rows(self.child, size)
         gathered.sort(key=self._key())
-        width = len(self.schema)
-        for chunk in _chunks(gathered, size):
-            yield ColumnBatch.from_rows(chunk, width)
+        return _as_columns(_chunks(gathered, size), len(self.schema))
 
     def column_nullable(self, position: int) -> bool:
         return self.child.column_nullable(position)
@@ -1925,7 +1267,6 @@ class MergeJoin(PhysicalPlan):
         self.output_positions: Optional[List[int]] = None
         self.left_positions = [left.schema.resolve(l) for l, _ in pairs]
         self.right_positions = [right.schema.resolve(r) for _, r in pairs]
-        self._bound_residual = residual.bind(self._combined) if residual is not None else None
         self._compiled_residual = (
             residual.compile(self._combined) if residual is not None else None
         )
@@ -1939,49 +1280,6 @@ class MergeJoin(PhysicalPlan):
     @property
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
-
-    def rows(self) -> Iterator[Row]:
-        left_rows = list(self.left.rows())
-        right_rows = list(self.right.rows())
-        lpos, rpos = self.left_positions, self.right_positions
-        residual = self._bound_residual
-        project = (
-            _projector(self.output_positions)
-            if self.output_positions is not None
-            else None
-        )
-
-        def lkey(row: Row):
-            return _sort_key(tuple(row[i] for i in lpos))
-
-        def rkey(row: Row):
-            return _sort_key(tuple(row[i] for i in rpos))
-
-        i = j = 0
-        n, m = len(left_rows), len(right_rows)
-        while i < n and j < m:
-            lk, rk = lkey(left_rows[i]), rkey(right_rows[j])
-            if lk < rk:
-                i += 1
-            elif lk > rk:
-                j += 1
-            else:
-                # gather the equal-key groups on both sides
-                i2 = i
-                while i2 < n and lkey(left_rows[i2]) == lk:
-                    i2 += 1
-                j2 = j
-                while j2 < m and rkey(right_rows[j2]) == rk:
-                    j2 += 1
-                if not any(
-                    v is None for v in (left_rows[i][p] for p in lpos)
-                ):  # NULL keys never join
-                    for lrow in left_rows[i:i2]:
-                        for rrow in right_rows[j:j2]:
-                            out = lrow + rrow
-                            if residual is None or residual(out):
-                                yield out if project is None else project(out)
-                i, j = i2, j2
 
     def _presorted_input(self, sort_op: "Sort") -> Optional[SortedIndex]:
         """A SortedIndex serving one input's order, or None.
@@ -2074,7 +1372,10 @@ class MergeJoin(PhysicalPlan):
         if out:
             yield out
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        return _as_columns(self._merge(size), len(self.schema))
+
+    def _merge(self, size: int) -> Iterator[Batch]:
         left_index = self._presorted_input(self.left)
         if left_index is not None:
             right_index = self._presorted_input(self.right)
@@ -2086,13 +1387,12 @@ class MergeJoin(PhysicalPlan):
                         left_index, lkeys, right_index, rkeys, size
                     )
                     return
-        left_rows = _drain(self.left, size)
-        right_rows = _drain(self.right, size)
+        left_rows = _all_rows(self.left, size)
+        right_rows = _all_rows(self.right, size)
         lpos, rpos = self.left_positions, self.right_positions
         lproject = _projector(lpos)
         rproject = _projector(rpos)
-        # precompute sort keys once per row (the rows() path recomputes them
-        # on every group-boundary probe)
+        # precompute sort keys once per row
         lkeys = [_sort_key(lproject(row)) for row in left_rows]
         rkeys = [_sort_key(rproject(row)) for row in right_rows]
         residual = self._compiled_residual
@@ -2171,18 +1471,10 @@ class Materialize(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def _materialized(self, size: int = BATCH_SIZE) -> List[Row]:
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         if self._cache is None:
-            self._cache = _drain(self.child, size)
-        return self._cache
-
-    def rows(self) -> Iterator[Row]:
-        if self._cache is None:
-            self._cache = list(self.child.rows())
-        return iter(self._cache)
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        return _chunks(self._materialized(size), size)
+            self._cache = _all_rows(self.child, size)
+        return _as_columns(_chunks(self._cache, size), len(self.schema))
 
     def column_nullable(self, position: int) -> bool:
         return self.child.column_nullable(position)
@@ -2204,7 +1496,6 @@ class NestedLoopJoin(PhysicalPlan):
         self.right = Materialize(right)
         self.predicate = predicate
         self.schema = left.schema.concat(right.schema)
-        self._bound = predicate.bind(self.schema) if predicate is not None else None
         self._compiled = predicate.compile(self.schema) if predicate is not None else None
         self.estimated_rows = left.estimated_rows * max(right.estimated_rows, 1.0)
 
@@ -2212,19 +1503,14 @@ class NestedLoopJoin(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def rows(self) -> Iterator[Row]:
-        bound = self._bound
-        for lrow in self.left.rows():
-            for rrow in self.right.rows():
-                out = lrow + rrow
-                if bound is None or bound(out):
-                    yield out
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        return _as_columns(self._loop(size), len(self.schema))
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+    def _loop(self, size: int) -> Iterator[Batch]:
         predicate = self._compiled
-        right_rows = _drain(self.right, size)
+        right_rows = _all_rows(self.right, size)
         out: Batch = []
-        for batch in self.left.batches(size):
+        for batch in _row_batches(self.left, size):
             for lrow in batch:
                 if predicate is None:
                     out.extend(lrow + rrow for rrow in right_rows)
@@ -2236,8 +1522,7 @@ class NestedLoopJoin(PhysicalPlan):
                 if len(out) >= size:
                     yield out
                     out = []
-        if out:
-            yield out
+        yield out
 
     def explain_label(self) -> str:
         return "Nested Loop"
@@ -2260,24 +1545,8 @@ class HashDistinct(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.child,)
 
-    def rows(self) -> Iterator[Row]:
-        seen = set()
-        for row in self.child.rows():
-            if row not in seen:
-                seen.add(row)
-                yield row
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        seen: set = set()
-        add = seen.add
-        for batch in self.child.batches(size):
-            fresh = [row for row in batch if not (row in seen or add(row))]
-            if fresh:
-                yield fresh
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        # dedup needs row identity: transpose at the boundary (C-speed zip),
-        # keeping the child pipeline columnar
+        # dedup needs row identity: transpose at the boundary (C-speed zip)
         width = len(self.schema)
         seen: set = set()
         add = seen.add
@@ -2311,16 +1580,6 @@ class Append(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def rows(self) -> Iterator[Row]:
-        for row in self.left.rows():
-            yield row
-        for row in self.right.rows():
-            yield row
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        yield from self.left.batches(size)
-        yield from self.right.batches(size)
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
         yield from self.left.column_batches(size)
         yield from self.right.column_batches(size)
@@ -2345,23 +1604,16 @@ class Except(PhysicalPlan):
     def children(self) -> Tuple[PhysicalPlan, ...]:
         return (self.left, self.right)
 
-    def rows(self) -> Iterator[Row]:
-        gone = set(self.right.rows())
-        seen = set()
-        for row in self.left.rows():
-            if row not in gone and row not in seen:
-                seen.add(row)
-                yield row
+    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
+        return _as_columns(self._difference(size), len(self.schema))
 
-    def _batches(self, size: int) -> Iterator[Batch]:
+    def _difference(self, size: int) -> Iterator[Batch]:
         gone: set = set()
-        for batch in self.right.batches(size):
+        for batch in _row_batches(self.right, size):
             gone.update(batch)
         add = gone.add  # emitted rows join `gone`, deduplicating the output
-        for batch in self.left.batches(size):
-            fresh = [row for row in batch if not (row in gone or add(row))]
-            if fresh:
-                yield fresh
+        for batch in _row_batches(self.left, size):
+            yield [row for row in batch if not (row in gone or add(row))]
 
     def column_nullable(self, position: int) -> bool:
         return self.left.column_nullable(position)
@@ -2430,20 +1682,6 @@ class Confidence(PhysicalPlan):
         return (self.child,)
 
     # -- grouping ------------------------------------------------------
-    def _grouped_rows(self, size: int) -> Dict[Row, set]:
-        """values tuple -> set of encoded descriptor prefixes (row path)."""
-        dend = 2 * self.d_width
-        vstart = dend + self.tid_count
-        groups: Dict[Row, set] = {}
-        for batch in self.child.batches(size):
-            for row in batch:
-                group = groups.get(row[vstart:])
-                if group is None:
-                    groups[row[vstart:]] = {row[:dend]}
-                else:
-                    group.add(row[:dend])
-        return groups
-
     def _grouped_columns(self, size: int) -> Dict[Row, set]:
         """Native columnar grouping: zip only the needed column slices."""
         dend = 2 * self.d_width
@@ -2521,17 +1759,9 @@ class Confidence(PhysicalPlan):
         }
         return out
 
-    # -- execution modes -----------------------------------------------
-    def rows(self) -> Iterator[Row]:
-        yield from self._compute(self._grouped_rows(BATCH_SIZE))
-
-    def _batches(self, size: int) -> Iterator[Batch]:
-        yield from _chunks(self._compute(self._grouped_rows(size)), size)
-
     def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        width = len(self.schema)
-        for batch in _chunks(self._compute(self._grouped_columns(size)), size):
-            yield ColumnBatch.from_rows(batch, width)
+        groups = self._grouped_columns(size)
+        yield from _as_columns(_chunks(self._compute(groups), size), len(self.schema))
 
     def column_nullable(self, position: int) -> bool:
         if position == len(self.schema) - 1:
@@ -2554,24 +1784,8 @@ class Confidence(PhysicalPlan):
         return details
 
 
-def execute(
-    plan: PhysicalPlan, mode: str = "columns", batch_size: int = BATCH_SIZE
-) -> Relation:
-    """Run a physical plan to completion and materialize the result.
-
-    ``mode="columns"`` (the default) runs the columnar executor,
-    ``mode="blocks"`` the row-batch vectorized path, and ``mode="rows"``
-    the legacy tuple-at-a-time iterators.  All three produce identical
-    relations.
-    """
-    if mode == "rows":
-        return Relation(plan.schema, plan.rows())
-    if mode == "blocks":
-        return Relation.from_trusted(plan.schema, _drain(plan, batch_size))
-    if mode != "columns":
-        raise ValueError(
-            f"unknown execution mode {mode!r} (use 'rows', 'blocks', or 'columns')"
-        )
+def execute(plan: PhysicalPlan, batch_size: int = BATCH_SIZE) -> Relation:
+    """Run a physical plan to completion and materialize the result."""
     rows: List[Row] = []
     extend = rows.extend
     for batch in plan.column_batches(batch_size):

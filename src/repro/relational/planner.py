@@ -74,10 +74,8 @@ from .physical import (
     HashJoin,
     IndexNestedLoopJoin,
     IndexScan,
-    Materialize,
     MergeJoin,
     NestedLoopJoin,
-    ParallelScan,
     PhysicalPlan,
     Projection,
     ProjectionAs,
@@ -93,11 +91,7 @@ from .statistics import (
     use_index_scan,
 )
 
-__all__ = ["Planner", "plan_physical", "run", "PARALLEL_SCAN_MIN_ROWS"]
-
-#: A base scan estimated below this many rows is never parallelized —
-#: the thread handoffs would cost more than the scan.
-PARALLEL_SCAN_MIN_ROWS = 2048.0
+__all__ = ["Planner", "plan_physical", "run"]
 
 
 def _base_scan(plan: Plan) -> Optional[Scan]:
@@ -146,44 +140,24 @@ def _resolve(schema, reference: str) -> Optional[int]:
 class Planner:
     """Compiles logical plans to physical plans.
 
-    With ``fuse=True`` a post-pass collapses each maximal
-    scan→filter→project chain (through renames) into a single
+    A post-pass collapses each maximal scan→filter→project chain (through
+    renames) into a single
     :class:`~repro.relational.physical.FusedPipeline` and folds projections
     that sit directly above joins into the joins' emit
     (:meth:`~repro.relational.physical.HashJoin.set_output`) — the
     standalone ``Project`` reorders that bracket the partition merges of
-    translated U-relation plans disappear into the join loops.  The
-    columnar execution mode enables fusion by default; the unfused tree is
-    kept for the blocks/rows baselines.
+    translated U-relation plans disappear into the join loops.
     """
 
-    def __init__(
-        self,
-        prefer_merge_join: bool = False,
-        use_indexes: bool = True,
-        fuse: bool = False,
-        parallel: int = 0,
-    ):
+    def __init__(self, prefer_merge_join: bool = False, use_indexes: bool = True):
         self.prefer_merge_join = prefer_merge_join
         # the merge-join profile reproduces the paper's PostgreSQL plans
         # verbatim, so it keeps the classic scan/join operators only
         self.use_indexes = use_indexes and not prefer_merge_join
-        self.fuse = fuse
-        #: Partition-parallel scans: with ``parallel >= 2``, base scans
-        #: whose estimated cost clears :data:`PARALLEL_SCAN_MIN_ROWS` are
-        #: wrapped in a :class:`~repro.relational.physical.ParallelScan`
-        #: gather over that many range partitions.  0 (the default) keeps
-        #: plans serial.
-        self.parallel = int(parallel)
 
     def compile(self, plan: Plan) -> PhysicalPlan:
-        """Compile a logical plan tree into a physical operator tree."""
-        physical = self._compile(plan)
-        if self.fuse:
-            physical = _fuse_tree(physical)
-        if self.parallel >= 2:
-            physical = _parallelize_tree(physical, self.parallel)
-        return physical
+        """Compile a logical plan tree into a fused physical operator tree."""
+        return _fuse_tree(self._compile(plan))
 
     # ------------------------------------------------------------------
     def _compile(self, plan: Plan) -> PhysicalPlan:
@@ -612,12 +586,6 @@ class _RenameOp(PhysicalPlan):
     def children(self):
         return (self.child,)
 
-    def rows(self):
-        return self.child.rows()
-
-    def _batches(self, size):
-        return self.child.batches(size)
-
     def _column_batches(self, size):
         return self.child.column_batches(size)
 
@@ -752,101 +720,26 @@ def _fuse_tree(node: PhysicalPlan) -> PhysicalPlan:
     return node
 
 
-# ======================================================================
-# partition-parallel scans (post-pass over the physical tree)
-# ======================================================================
-def _parallel_candidate(node: PhysicalPlan, workers: int) -> Optional[ParallelScan]:
-    """Wrap a fused pipeline / bare scan in a gather when it is worth it.
-
-    The decision is by estimated *scan* cost — the rows the base scan
-    reads, not the rows the pipeline emits: a highly selective filter over
-    a big relation still pays the full scan and parallelizes well.
-    """
-    if isinstance(node, FusedPipeline):
-        source = node.source
-        if isinstance(source, SeqScan) and source.estimated_rows >= PARALLEL_SCAN_MIN_ROWS:
-            return ParallelScan(node, workers)
-        return None
-    if isinstance(node, SeqScan) and node.estimated_rows >= PARALLEL_SCAN_MIN_ROWS:
-        return ParallelScan(node, workers)
-    return None
-
-
-def _parallelize_tree(node: PhysicalPlan, workers: int) -> PhysicalPlan:
-    """Insert :class:`ParallelScan` gathers over the large base pipelines.
-
-    Mirrors the fusion pass's traversal: children are rewritten in place
-    (schemas are preserved exactly), and each fused scan→filter→project
-    pipeline (or bare sequential scan) over a large relation becomes a
-    gather over ``workers`` range partitions.  Index scans and the
-    display-only inner sides of index joins are never touched.
-    """
-    wrapped = _parallel_candidate(node, workers)
-    if wrapped is not None:
-        return wrapped
-    if isinstance(
-        node,
-        (
-            Filter,
-            Projection,
-            ProjectionAs,
-            ExtendOp,
-            HashDistinct,
-            _RenameOp,
-            Materialize,
-            Confidence,
-        ),
-    ):
-        node.child = _parallelize_tree(node.child, workers)
-    elif isinstance(node, MergeJoin):
-        # merge-join inputs stay serial: wrapping the Sort children would
-        # hide the base scans from the presorted-index merge path, a worse
-        # trade than parallelizing a scan the Sort drains anyway
-        pass
-    elif isinstance(node, (HashJoin, Append, Except)):
-        node.left = _parallelize_tree(node.left, workers)
-        node.right = _parallelize_tree(node.right, workers)
-    elif isinstance(node, IndexNestedLoopJoin):
-        node.outer = _parallelize_tree(node.outer, workers)
-    elif isinstance(node, (NestedLoopJoin, SemiJoinOp)):
-        node.left = _parallelize_tree(node.left, workers)
-        node.right.child = _parallelize_tree(node.right.child, workers)
-    return node
-
-
 def plan_physical(
-    plan: Plan,
-    prefer_merge_join: bool = False,
-    use_indexes: bool = True,
-    fuse: bool = False,
-    parallel: int = 0,
+    plan: Plan, prefer_merge_join: bool = False, use_indexes: bool = True
 ) -> PhysicalPlan:
     """Compile a logical plan with a default-configured planner."""
-    return Planner(
-        prefer_merge_join=prefer_merge_join,
-        use_indexes=use_indexes,
-        fuse=fuse,
-        parallel=parallel,
-    ).compile(plan)
+    return Planner(prefer_merge_join=prefer_merge_join, use_indexes=use_indexes).compile(
+        plan
+    )
 
 
 def run(
     plan: Plan,
     optimize_first: bool = True,
     prefer_merge_join: bool = False,
-    mode: str = "columns",
     batch_size: int = BATCH_SIZE,
     use_indexes: bool = True,
-    parallel: int = 0,
 ) -> Relation:
     """Optimize, compile, and execute a logical plan.
 
-    ``mode`` selects the executor: ``"columns"`` (columnar + fused
-    pipelines, the default), ``"blocks"`` (row-batch vectorized, the PR 1/2
-    baseline — plans are compiled *without* fusion so the baseline stays
-    byte-for-byte comparable), or ``"rows"`` (legacy tuple-at-a-time).
-    ``use_indexes=False`` additionally disables access-path selection
-    (every scan sequential, every equi-join hashed).
+    ``use_indexes=False`` disables access-path selection (every scan
+    sequential, every equi-join hashed).
     """
     from .optimizer import optimize
     from .physical import execute
@@ -854,10 +747,6 @@ def run(
     if optimize_first:
         plan = optimize(plan)
     physical = plan_physical(
-        plan,
-        prefer_merge_join=prefer_merge_join,
-        use_indexes=use_indexes,
-        fuse=mode == "columns",
-        parallel=parallel,
+        plan, prefer_merge_join=prefer_merge_join, use_indexes=use_indexes
     )
-    return execute(physical, mode=mode, batch_size=batch_size)
+    return execute(physical, batch_size=batch_size)

@@ -106,7 +106,7 @@ class Relation:
     def from_trusted(cls, schema: Schema, rows: List[Tuple[Any, ...]]) -> "Relation":
         """Adopt an already-validated list of row tuples without copying.
 
-        Fast path for the block executor, whose operators only ever emit
+        Fast path for the executor, whose operators only ever emit
         tuples of the correct arity; the caller must not mutate ``rows``
         afterwards.
         """
@@ -139,8 +139,8 @@ class Relation:
 
         ``deleted`` holds *global ordinals* over the concatenation of all
         segment rows (in segment order, before deletion).  ``rows`` is the
-        materialized live view, so every existing executor — row, block,
-        columnar, parallel scans — works on segmented relations unchanged.
+        materialized live view, so the executor works on segmented
+        relations unchanged.
         """
         if not isinstance(schema, Schema):
             schema = Schema(schema)
@@ -181,25 +181,6 @@ class Relation:
         deleted = self.deleted_ordinals()
         total = sum(len(s.rows) for s in self.segments())
         return [o for o in range(total) if o not in deleted]
-
-    def segment_boundaries(self) -> List[int]:
-        """Offsets into ``rows`` where each segment's live run begins.
-
-        Parallel scans snap partition cut points to these so one worker
-        never straddles a segment (its slice stays within one cached
-        per-segment column run).
-        """
-        deleted = self.deleted_ordinals()
-        boundaries: List[int] = []
-        live = 0
-        ordinal = 0
-        for segment in self.segments():
-            boundaries.append(live)
-            for _ in segment.rows:
-                if ordinal not in deleted:
-                    live += 1
-                ordinal += 1
-        return boundaries
 
     def with_appended(self, rows: Iterable[Sequence[Any]]) -> "Relation":
         """A new relation value with one fresh segment appended.

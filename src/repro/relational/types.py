@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import datetime
 import enum
+import re
 from typing import Any, Optional
 
 __all__ = [
     "DataType",
     "Date",
+    "string_literal",
     "infer_type",
     "parse_value",
     "format_value",
@@ -61,6 +63,21 @@ def Date(text_or_year: Any, month: Optional[int] = None, day: Optional[int] = No
         year_s, month_s, day_s = str(text_or_year).split("-")
         return datetime.date(int(year_s), int(month_s), int(day_s))
     return datetime.date(int(text_or_year), int(month), int(day or 1))
+
+
+_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+
+
+def string_literal(text: str) -> Any:
+    """The value a SQL string literal denotes.
+
+    ``'YYYY-MM-DD'`` text is a date (so it compares against DATE columns);
+    any other text stays a string.  Prepared-statement bindings go through
+    the same rule, so a bound ``$n`` equals the inline literal.
+    """
+    if _DATE_RE.match(text):
+        return Date(text)
+    return text
 
 
 _PY_TO_TYPE = {

@@ -15,9 +15,6 @@ statements, catalog-version invalidation):
 * :class:`~repro.server.server.QueryServer` — the in-process API and the
   newline-JSON TCP frontend (``python -m repro.server``).
 
-Partition-parallel scans (``parallel=K``) plug in underneath through the
-planner's :class:`~repro.relational.physical.ParallelScan` operator.
-
 Quick start::
 
     from repro.server import QueryServer

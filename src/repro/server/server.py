@@ -112,17 +112,11 @@ class QueryServer:
         workers: int = 4,
         policy: Optional[AdmissionPolicy] = None,
         coalesce: bool = True,
-        mode: str = "columns",
         use_indexes: bool = True,
-        parallel: int = 0,
         auto_compact: Any = None,
     ):
         self.udb = udb
-        self.mode = mode
         self.use_indexes = use_indexes
-        #: Partition-parallel scan fan-out handed to the planner for every
-        #: statement executed through this server (0 = serial plans).
-        self.parallel = parallel
         self.admission = AdmissionController(policy)
         self.executor = ConcurrentExecutor(workers=workers, coalesce=coalesce)
         self._sessions_opened = 0
@@ -167,9 +161,7 @@ class QueryServer:
         return Session(
             self.udb,
             server=self,
-            mode=overrides.get("mode", self.mode),
             use_indexes=overrides.get("use_indexes", self.use_indexes),
-            parallel=overrides.get("parallel", self.parallel),
         )
 
     def query(self, sql: str, params: Sequence[Any] = ()):
@@ -197,9 +189,7 @@ class QueryServer:
         requests (same plan-cache key, bindings, and catalog version)
         coalesce onto one execution.
         """
-        mode = session.mode if session is not None else self.mode
         use_indexes = session.use_indexes if session is not None else self.use_indexes
-        parallel = session.parallel if session is not None else self.parallel
         trace = current_trace()
         if isinstance(prepared, PreparedDML):
             # writes admit under their own class and never coalesce:
@@ -223,13 +213,7 @@ class QueryServer:
         classify_query = prepared.query
         while isinstance(classify_query, Certain):
             classify_query = classify_query.child
-        class_key = query_cache_key(
-            classify_query,
-            self.udb,
-            mode=mode,
-            use_indexes=use_indexes,
-            parallel=parallel,
-        )
+        class_key = query_cache_key(classify_query, self.udb, use_indexes=use_indexes)
         # a conf query's class is known from its shape alone, so even the
         # first (uncached) execution admits under the conf limit — the
         # #P-hard tail must never slip in through the cold class
@@ -242,13 +226,7 @@ class QueryServer:
         key = (
             class_key
             if classify_query is prepared.query
-            else query_cache_key(
-                prepared.query,
-                self.udb,
-                mode=mode,
-                use_indexes=use_indexes,
-                parallel=parallel,
-            )
+            else query_cache_key(prepared.query, self.udb, use_indexes=use_indexes)
         )
         coalesce_key: Optional[Tuple[Any, ...]]
         if key is None:
@@ -264,9 +242,7 @@ class QueryServer:
             trace.root.set(cost_class=cost_class)
 
         def work():
-            return prepared.run(
-                *params, mode=mode, use_indexes=use_indexes, parallel=parallel
-            )
+            return prepared.run(*params, use_indexes=use_indexes)
 
         # join an identical in-flight execution without consuming an
         # admission slot — a waiter costs nothing, and hot-query bursts

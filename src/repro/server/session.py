@@ -103,18 +103,14 @@ class Session:
         self,
         udb: UDatabase,
         server: Optional[Any] = None,
-        mode: str = "columns",
         use_indexes: bool = True,
-        parallel: int = 0,
     ):
         self.udb = udb
         #: The owning :class:`~repro.server.server.QueryServer`, or None
         #: for a standalone session (statements then execute inline on the
         #: calling thread, without admission control or coalescing).
         self.server = server
-        self.mode = mode
         self.use_indexes = use_indexes
-        self.parallel = parallel
         self._named: Dict[str, PreparedQuery] = {}
         self._by_text: Dict[str, PreparedQuery] = {}
         #: Serializes this session's statements (a session models one
@@ -414,12 +410,7 @@ class Session:
         if self.server is not None:
             result = self.server.execute(prepared, params, session=self)
         else:
-            result = prepared.run(
-                *params,
-                mode=self.mode,
-                use_indexes=self.use_indexes,
-                parallel=self.parallel,
-            )
+            result = prepared.run(*params, use_indexes=self.use_indexes)
         trace = current_trace()
         record_statement(
             self.accounting_id,

@@ -53,7 +53,6 @@ execution turns into a fresh world-table variable (see
 
 from __future__ import annotations
 
-import re
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from ..core.query import (
@@ -83,7 +82,7 @@ from ..relational.expressions import (
 )
 from ..core.dml import Delete, Insert, UncertainValue, Update
 from ..core.txn import Begin, Commit, Rollback
-from ..relational.types import Date
+from ..relational.types import Date, string_literal
 from .lexer import SqlSyntaxError, Token, TokenKind, tokenize
 
 __all__ = [
@@ -99,9 +98,6 @@ __all__ = [
     "Commit",
     "Rollback",
 ]
-
-_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-
 
 class CreateIndex(NamedTuple):
     """Parsed ``CREATE INDEX name ON table (columns) [USING kind]``.
@@ -538,9 +534,7 @@ class _Parser:
             return Date(text.text)
         if token.kind == TokenKind.STRING:
             self.advance()
-            if _DATE_RE.match(token.text):
-                return Date(token.text)
-            return token.text
+            return string_literal(token.text)
         if token.kind == TokenKind.NUMBER:
             self.advance()
             if "." in token.text:

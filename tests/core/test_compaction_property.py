@@ -5,8 +5,7 @@ relation as a stack of immutable segments plus delete vectors; ``VACUUM``
 rewrites that stack into one fresh base segment.  The invariant the whole
 maintenance path rests on: the compacted database, the uncompacted one,
 and a from-scratch rebuild of the surviving logical tuples are
-indistinguishable under every execution mode, with and without access
-paths — while the *structure* collapses to ``segment_count == 1`` /
+indistinguishable to the executor, with and without access paths — while the *structure* collapses to ``segment_count == 1`` /
 ``deleted_ratio == 0`` and the world table is untouched (compaction moves
 tuples, never uncertainty).
 """
@@ -21,8 +20,6 @@ from repro.core.query import Poss, Rel, UProject
 from repro.core.udatabase import CompactionPolicy, UDatabase
 from repro.core.urelation import URelation, tid_column
 from repro.sql import execute_sql
-
-MODES = ["rows", "blocks", "columns"]
 
 ids = st.integers(min_value=0, max_value=6)
 types = st.sampled_from(["a", "b", "c"])
@@ -83,34 +80,27 @@ def _replay(script, auto_index=False):
     return udb, model
 
 
-def _answers(db, query, mode, use_indexes):
-    return set(
-        map(tuple, execute_query(query, db, mode=mode, use_indexes=use_indexes).rows)
-    )
+def _answers(db, query, use_indexes):
+    return set(map(tuple, execute_query(query, db, use_indexes=use_indexes).rows))
 
 
 @settings(max_examples=40, deadline=None)
 @given(scripts)
 def test_compacted_equals_uncompacted_equals_rebuilt(script):
-    """The three-way equivalence across every mode × access-path choice."""
+    """The three-way equivalence under both access-path choices."""
     churned, model = _replay(script)
     compacted, _ = _replay(script)
     compacted.compact()
     rebuilt = _build(model)
     expected = set(model)
     query = Poss(UProject(Rel("r"), ["id", "type"]))
-    for mode in MODES:
-        for use_indexes in (True, False):
-            for label, db in (
-                ("churned", churned),
-                ("compacted", compacted),
-                ("rebuilt", rebuilt),
-            ):
-                assert _answers(db, query, mode, use_indexes) == expected, (
-                    mode,
-                    use_indexes,
-                    label,
-                )
+    for use_indexes in (True, False):
+        for label, db in (
+            ("churned", churned),
+            ("compacted", compacted),
+            ("rebuilt", rebuilt),
+        ):
+            assert _answers(db, query, use_indexes) == expected, (use_indexes, label)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,7 +147,7 @@ def test_compaction_rebuilds_access_paths_and_statistics(script):
         _apply(udb, model, op)
     udb.compact()
     query = Poss(UProject(Rel("r"), ["id", "type"]))
-    assert _answers(udb, query, "columns", True) == set(model)
+    assert _answers(udb, query, True) == set(model)
     from repro.relational.index import attached_index_defs
 
     for part in udb.partitions("r"):
@@ -174,7 +164,7 @@ def test_threshold_compaction_matches_on_demand(script):
     for part in eager.partitions("r"):
         assert len(part.relation.segments()) == 1
     query = Poss(UProject(Rel("r"), ["id", "type"]))
-    assert _answers(eager, query, "columns", False) == set(model)
+    assert _answers(eager, query, False) == set(model)
     # and a policy nothing crosses leaves the stack alone
     lazy, _ = _replay(script)
     stacks = [len(p.relation.segments()) for p in lazy.partitions("r")]

@@ -3,9 +3,9 @@
 A random sequence of INSERT / UPDATE / DELETE statements leaves the
 relation as a stack of immutable segments plus delete vectors.  The
 invariant the whole write path rests on: querying that segmented,
-delete-marked representation is indistinguishable — in every execution
-mode, with and without access paths — from a database rebuilt from
-scratch holding only the surviving logical tuples.
+delete-marked representation is indistinguishable — with and without
+access paths, through freshly planned and cached plans — from a database
+rebuilt from scratch holding only the surviving logical tuples.
 
 The relation is vertically partitioned (``id`` | ``type``) so every
 statement exercises the multi-partition write path, and a Python-list
@@ -21,9 +21,9 @@ from repro.core.descriptor import Descriptor
 from repro.core.query import Poss, Rel, UProject
 from repro.core.udatabase import UDatabase
 from repro.core.urelation import URelation, tid_column
+from repro.relational.plancache import reset_plan_cache
 from repro.sql import execute_sql
 
-MODES = ["rows", "blocks", "columns"]
 
 ids = st.integers(min_value=0, max_value=6)
 types = st.sampled_from(["a", "b", "c"])
@@ -91,18 +91,15 @@ def test_dml_equals_rebuilt_across_modes_and_access_paths(script):
     rebuilt = _build(model)
     expected = set(model)  # Poss answers are distinct row sets
     query = Poss(UProject(Rel("r"), ["id", "type"]))
-    for mode in MODES:
+    for fresh in (True, False):  # freshly planned, then served from the cache
+        if fresh:
+            reset_plan_cache()
         for use_indexes in (True, False):
             for db in (udb, rebuilt):
                 answer = set(
-                    map(
-                        tuple,
-                        execute_query(
-                            query, db, mode=mode, use_indexes=use_indexes
-                        ).rows,
-                    )
+                    map(tuple, execute_query(query, db, use_indexes=use_indexes).rows)
                 )
-                assert answer == expected, (mode, use_indexes, db is udb)
+                assert answer == expected, (fresh, use_indexes, db is udb)
 
 
 @settings(max_examples=40, deadline=None)

@@ -132,16 +132,22 @@ class TestPersistence:
 
 
 class TestIndexedExecutionAgrees:
-    @pytest.mark.parametrize("mode", ["rows", "blocks"])
-    def test_translated_query_same_answers(self, mode):
+    # "rows": one-row batches (row-at-a-time); "blocks": full batches
+    @pytest.mark.parametrize(
+        "batch_size", [pytest.param(1, id="rows"), pytest.param(1024, id="blocks")]
+    )
+    def test_translated_query_same_answers(self, batch_size):
         from repro.core import execute_query
         from repro.sql import parse
 
+        from tests.conftest import brute_force_poss
+
         udb = small_udb()
         query = parse("possible (select id from r where kind = 'a')")
-        with_idx = execute_query(udb=udb, query=query, mode=mode, use_indexes=True)
-        without = execute_query(udb=udb, query=query, mode=mode, use_indexes=False)
+        with_idx = execute_query(query, udb, use_indexes=True, batch_size=batch_size)
+        without = execute_query(query, udb, use_indexes=False, batch_size=batch_size)
         assert with_idx == without
+        assert set(with_idx.rows) == brute_force_poss(query.child, udb)
 
     def test_tpch_smoke_same_answers(self):
         from repro.core import execute_query

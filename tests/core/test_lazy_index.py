@@ -153,7 +153,7 @@ class TestLazyIndexRobustness:
             SeqScan(relation, "v", alias="v"),
             [("u.tid_r", "v.tid_r")],
         )
-        execute(join, mode="columns")
+        execute(join)
         # the execution-time presorted peek must not force the deferred
         # auto-index builds (write-only pipelines rely on that laziness)
         assert not getattr(relation, "_indexes", None)

@@ -93,6 +93,36 @@ class TestRoundTrip:
             execute_query(q, vehicles_udb).rows
         )
 
+    def test_floats_roundtrip_exactly(self, tmp_path):
+        from repro.sql import execute_sql
+
+        prices = [27860.75, 86821.91, 0.1 + 0.2, 1234567.891, -3.25e-7]
+        world = WorldTable({"x": [1, 2]}, probabilities={"x": [0.1234567, 0.8765433]})
+        u = URelation.build(
+            [(Descriptor(x=1 + i % 2), i, (i, p)) for i, p in enumerate(prices)],
+            tid_column("o"),
+            ["orderkey", "totalprice"],
+        )
+        udb = UDatabase(world)
+        udb.add_relation("o", ["orderkey", "totalprice"], [u])
+        save_udatabase(udb, tmp_path / "f")
+        back = load_udatabase(tmp_path / "f")
+        query = "possible (select orderkey, totalprice from o)"
+        assert execute_sql(query, back).rows == execute_sql(query, udb).rows
+        assert (0, 27860.75) in execute_sql(query, back).rows
+        assert back.world_table.probability("x", 1) == 0.1234567
+
+    def test_generated_tpch_answers_identical_after_reload(self, tmp_path):
+        from repro.sql import execute_sql
+        from repro.ugen import generate_uncertain
+
+        udb = generate_uncertain(scale=0.0005, seed=42).udb
+        save_udatabase(udb, tmp_path / "t")
+        back = load_udatabase(tmp_path / "t")
+        query = "possible (select o.orderkey, o.totalprice from orders o)"
+        live = execute_sql(query, udb)
+        assert sorted(execute_sql(query, back).rows) == sorted(live.rows)
+
     def test_generated_database_roundtrip(self, tmp_path):
         from repro.ugen import generate_uncertain
 

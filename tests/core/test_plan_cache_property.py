@@ -1,11 +1,11 @@
 """Property tests: cached execute_query == fresh execution, all knobs.
 
-Mirrors ``tests/relational/test_columnar.py``'s mode-agreement properties
-one level up: for randomized logical queries over the vehicles database,
+Mirrors ``tests/relational/test_columnar.py``'s reference properties one
+level up: for randomized logical queries over the vehicles database,
 executing through the (warm) prepared-plan cache must be tuple-identical
-to a fresh, cache-free translation across all three executor modes, batch
-sizes {0, 1, 1023, 1024, 1025}, ``use_indexes`` on/off, and fused (columns
-mode) vs unfused (blocks/rows) plans.
+to a fresh, cache-free translation across batch sizes {0, 1, 1023, 1024,
+1025} and ``use_indexes`` on/off, and must equal the possible-worlds
+answer (the union of the query's per-world answers).
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from repro.core import Poss, Rel, UJoin, UProject, UQuery, USelect
 from repro.core.translate import execute_query
 from repro.relational import col, lit, plan_cache_stats, reset_plan_cache
 
-from tests.conftest import build_vehicles_udb
+from tests.conftest import brute_force_poss, build_vehicles_udb
 
 batch_sizes = st.sampled_from([0, 1, 1023, 1024, 1025])
-modes = st.sampled_from(["rows", "blocks", "columns"])
 
 
 @st.composite
@@ -63,20 +62,16 @@ def queries(draw) -> UQuery:
     )
 
 
-@given(queries(), batch_sizes, modes, st.booleans())
+@given(queries(), batch_sizes, st.booleans())
 @settings(max_examples=100, deadline=None)
-def test_cached_query_identical_to_fresh(query, batch_size, mode, use_indexes):
+def test_cached_query_identical_to_fresh(query, batch_size, use_indexes):
     udb = build_vehicles_udb()
     reset_plan_cache()
-    cold = execute_query(
-        query, udb, mode=mode, use_indexes=use_indexes, batch_size=batch_size
-    )
+    cold = execute_query(query, udb, use_indexes=use_indexes, batch_size=batch_size)
     misses = plan_cache_stats()["misses"]
-    warm = execute_query(
-        query, udb, mode=mode, use_indexes=use_indexes, batch_size=batch_size
-    )
+    warm = execute_query(query, udb, use_indexes=use_indexes, batch_size=batch_size)
     warm_again = execute_query(
-        query, udb, mode=mode, use_indexes=use_indexes, batch_size=batch_size
+        query, udb, use_indexes=use_indexes, batch_size=batch_size
     )
     # the repeated runs were executor-only...
     assert plan_cache_stats()["misses"] == misses
@@ -87,17 +82,16 @@ def test_cached_query_identical_to_fresh(query, batch_size, mode, use_indexes):
     assert sorted(map(repr, warm.rows)) == sorted(map(repr, cold.rows))
 
 
-@given(queries(), batch_sizes)
+@given(queries(), batch_sizes, st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_warm_modes_agree_with_each_other(query, batch_size):
-    """Fused (columns) and unfused (blocks/rows) cached plans agree."""
+def test_warm_modes_agree_with_each_other(query, batch_size, use_indexes):
+    """Cold (freshly planned) and warm (cached-plan) runs agree with each
+    other and with the possible-worlds answer."""
     udb = build_vehicles_udb()
-    results = {
-        mode: execute_query(query, udb, mode=mode, batch_size=batch_size)
-        for mode in ("rows", "blocks", "columns")
-    }
-    # warm pass: every mode now runs from its cached plan
-    for mode, cold in results.items():
-        warm = execute_query(query, udb, mode=mode, batch_size=batch_size)
-        assert warm == cold
-    assert results["rows"] == results["blocks"] == results["columns"]
+    expected = brute_force_poss(query.child, udb)
+    cold = execute_query(query, udb, use_indexes=use_indexes, batch_size=batch_size)
+    # warm pass: runs from the cached plan
+    warm = execute_query(query, udb, use_indexes=use_indexes, batch_size=batch_size)
+    assert warm == cold
+    assert set(warm.rows) == expected
+    assert len(warm) == len(expected)  # possible answers carry no duplicates

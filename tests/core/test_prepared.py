@@ -181,18 +181,57 @@ class TestParamPointLookup:
         min_size=1,
         max_size=8,
     ),
-    st.sampled_from(["rows", "blocks", "columns"]),
 )
 @settings(max_examples=40, deadline=None)
-def test_prepared_matches_literal_queries(bindings, mode):
-    """Property: for any binding sequence and executor mode, the prepared
-    query answers exactly what the literal query answers."""
+def test_prepared_matches_literal_queries(bindings):
+    """Property: for any binding sequence, the prepared query answers
+    exactly what the literal query answers."""
     udb = build_vehicles_udb()
     stmt = prepare("possible (select id from r where type = $1)", udb)
     for value in bindings:
-        got = stmt.run(value, mode=mode)
+        got = stmt.run(value)
         if value is None:
             assert len(got) == 0
             continue
         literal = Poss(UProject(USelect(Rel("r"), col("type").eq(lit(value))), ["id"]))
-        assert got == execute_query(literal, udb, mode=mode)
+        assert got == execute_query(literal, udb)
+
+
+def orders_udb():
+    from repro.ugen import generate_uncertain
+
+    return generate_uncertain(scale=0.0005, seed=42, tables=["orders"]).udb
+
+
+class TestDateStringBindings:
+    """A ``'YYYY-MM-DD'`` string bound to ``$n`` types like the literal."""
+
+    QUERY = "possible (select o.orderkey from orders o where o.orderdate > $1)"
+    LITERAL = "possible (select o.orderkey from orders o where o.orderdate > '1995-03-15')"
+
+    def test_string_binding_equals_inline_literal(self):
+        udb = orders_udb()
+        expected = execute_sql(self.LITERAL, udb)
+        assert len(expected) > 0
+        assert prepare(self.QUERY, udb).run("1995-03-15") == expected
+
+    def test_date_binding_unchanged(self):
+        import datetime
+
+        udb = orders_udb()
+        got = prepare(self.QUERY, udb).run(datetime.date(1995, 3, 15))
+        assert got == execute_sql(self.LITERAL, udb)
+
+    def test_non_date_strings_stay_strings(self):
+        udb = build_vehicles_udb()
+        got = prepare("possible (select id from r where type = $1)", udb).run("Tank")
+        assert sorted(row[0] for row in got.rows) == [1, 2, 3, 4]
+
+    def test_prepared_dml_string_binding_equals_inline_literal(self):
+        bound, inline = orders_udb(), orders_udb()
+        expected = execute_sql("delete from orders where orderdate < '1992-02-01'", inline)
+        assert expected.count > 0
+        got = prepare("delete from orders where orderdate < $1", bound).run("1992-02-01")
+        assert got.count == expected.count
+        remaining = "possible (select o.orderkey from orders o)"
+        assert execute_sql(remaining, bound) == execute_sql(remaining, inline)

@@ -1,13 +1,14 @@
 """Property tests: indexed plans ≡ sequential plans.
 
-The access-path layer must be purely a physical choice: for any query,
-any batch size, and either execution mode, a plan compiled with indexes
-available returns exactly the same bag of rows as the same plan compiled
-with ``use_indexes=False`` (all-sequential scans + hash joins).
+The access-path layer must be purely a physical choice: for any query and
+any batch size, a plan compiled with indexes available returns exactly
+the same bag of rows as the same plan compiled with ``use_indexes=False``
+(all-sequential scans + hash joins), and both equal the reference
+interpreter's answer.
 
 Randomized over predicates (equality / range / BETWEEN / IN / NULL
-tests), join shapes, both executor modes, and batch sizes around the
-block boundary including 0 and 1.
+tests), join shapes, and batch sizes around the block boundary including
+0 and 1.
 """
 
 from __future__ import annotations
@@ -20,13 +21,13 @@ from repro.relational.index import ensure_index
 from repro.relational.optimizer import optimize
 from repro.relational.physical import execute
 from repro.relational.planner import plan_physical
+from repro.relational.reference import evaluate
 from repro.relational.relation import Relation
 
 values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 rows_s = st.lists(st.tuples(values, values), min_size=0, max_size=30)
 batch_sizes = st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025])
-modes = st.sampled_from(["rows", "blocks"])
 
 
 @st.composite
@@ -81,15 +82,13 @@ def bag(relation: Relation):
     return sorted(map(repr, relation.rows))
 
 
-@given(plans(), batch_sizes, modes, st.booleans())
+@given(plans(), batch_sizes, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_indexed_plans_equal_sequential_plans(plan, batch_size, mode, optimize_first):
+def test_indexed_plans_equal_sequential_plans(plan, batch_size, optimize_first):
     logical = optimize(plan) if optimize_first else plan
-    with_indexes = execute(
-        plan_physical(logical, use_indexes=True), mode=mode, batch_size=batch_size
-    )
+    with_indexes = execute(plan_physical(logical, use_indexes=True), batch_size=batch_size)
     without_indexes = execute(
-        plan_physical(logical, use_indexes=False), mode=mode, batch_size=batch_size
+        plan_physical(logical, use_indexes=False), batch_size=batch_size
     )
     assert bag(with_indexes) == bag(without_indexes)
     assert with_indexes.schema.names == without_indexes.schema.names
@@ -98,7 +97,7 @@ def test_indexed_plans_equal_sequential_plans(plan, batch_size, mode, optimize_f
 @given(plans(), batch_sizes)
 @settings(max_examples=60, deadline=None)
 def test_indexed_blocks_equal_indexed_rows(plan, batch_size):
+    """The indexed plan, executed in batches, equals the row-at-a-time
+    reference interpreter."""
     physical = plan_physical(optimize(plan), use_indexes=True)
-    via_blocks = execute(physical, mode="blocks", batch_size=batch_size)
-    via_rows = execute(physical, mode="rows")
-    assert bag(via_blocks) == bag(via_rows)
+    assert bag(execute(physical, batch_size=batch_size)) == bag(evaluate(plan))

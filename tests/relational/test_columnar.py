@@ -1,15 +1,15 @@
-"""Tests for the columnar executor (``mode="columns"``).
+"""Tests for the columnar executor.
 
 Three families:
 
 * ColumnBatch mechanics — transposition round trips at the boundaries
   (empty, one row, zero-width schemas);
-* batch-boundary tests — every physical operator executed in all three
-  modes over inputs of size 0, 1, one batch exactly, and one batch ± 1,
-  producing identical bags;
-* property tests — randomized plans (with and without fusion, with and
-  without indexes) must evaluate identically through ``rows``, ``blocks``,
-  and ``columns`` across batch sizes {0, 1, 1023, 1024, 1025}.
+* batch-boundary tests — every physical operator executed over inputs of
+  size 0, 1, one batch exactly, and one batch ± 1, producing the bag the
+  reference interpreter computes for the equivalent logical plan;
+* property tests — randomized plans (with and without optimization, with
+  and without indexes) must evaluate to the reference interpreter's answer
+  across batch sizes {0, 1, 1023, 1024, 1025}.
 """
 
 from __future__ import annotations
@@ -18,13 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.relational.algebra import (
+    Difference,
     Distinct,
+    Extend,
     Join,
     Product,
     Project,
+    ProjectAs,
     Rename,
     Scan,
     Select,
+    SemiJoin,
     Union,
 )
 from repro.relational.columnar import ColumnBatch
@@ -50,6 +54,7 @@ from repro.relational.physical import (
     execute,
 )
 from repro.relational.planner import plan_physical
+from repro.relational.reference import evaluate
 from repro.relational.relation import Relation
 
 B = 4
@@ -66,11 +71,18 @@ def right_relation(n: int) -> Relation:
     return Relation(["r.k", "r.w"], rows)
 
 
-def assert_columns_match_rows(plan, batch_size: int = B) -> None:
-    via_rows = execute(plan, mode="rows")
-    via_columns = execute(plan, mode="columns", batch_size=batch_size)
-    assert via_columns.schema.names == via_rows.schema.names
-    assert sorted(map(repr, via_columns.rows)) == sorted(map(repr, via_rows.rows))
+def assert_matches_reference(physical, logical, batch_size: int = B) -> None:
+    """``physical`` executes to the bag ``logical`` denotes."""
+    got = execute(physical, batch_size=batch_size)
+    expected = evaluate(logical)
+    assert got.schema.names == expected.schema.names
+    assert sorted(map(repr, got.rows)) == sorted(map(repr, expected.rows))
+
+
+def equi(predicate=None):
+    """``l.k = r.k``, optionally conjoined with a residual predicate."""
+    pair = col("l.k").eq(col("r.k"))
+    return pair if predicate is None else pair & predicate
 
 
 class TestColumnBatch:
@@ -93,137 +105,185 @@ class TestColumnBatch:
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
 class TestColumnarBatchBoundaries:
-    """Every operator, in columns mode, at every batch-boundary size."""
+    """Every operator at every batch-boundary size."""
 
     def test_seq_scan(self, n):
-        assert_columns_match_rows(SeqScan(left_relation(n), "l"))
+        rel = left_relation(n)
+        assert_matches_reference(SeqScan(rel, "l"), Scan(rel, "l"))
 
     def test_filter(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_columns_match_rows(Filter(scan, col("l.k") > lit(1)))
+        rel = left_relation(n)
+        predicate = col("l.k") > lit(1)
+        assert_matches_reference(
+            Filter(SeqScan(rel, "l"), predicate), Select(Scan(rel, "l"), predicate)
+        )
 
     def test_projection(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_columns_match_rows(Projection(scan, ["l.v"]))
+        rel = left_relation(n)
+        assert_matches_reference(
+            Projection(SeqScan(rel, "l"), ["l.v"]), Project(Scan(rel, "l"), ["l.v"])
+        )
 
     def test_projection_as(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_columns_match_rows(
-            ProjectionAs(scan, [("l.k", "k1"), ("l.k", "k2"), ("l.v", "v")])
+        rel = left_relation(n)
+        items = [("l.k", "k1"), ("l.k", "k2"), ("l.v", "v")]
+        assert_matches_reference(
+            ProjectionAs(SeqScan(rel, "l"), items), ProjectAs(Scan(rel, "l"), items)
         )
 
     def test_extend(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_columns_match_rows(
-            ExtendOp(scan, [("kk", col("l.k") + col("l.k")), ("one", lit(1))])
+        rel = left_relation(n)
+        items = [("kk", col("l.k") + col("l.k")), ("one", lit(1))]
+        assert_matches_reference(
+            ExtendOp(SeqScan(rel, "l"), items), Extend(Scan(rel, "l"), items)
         )
 
     def test_fused_pipeline(self, n):
-        scan = SeqScan(left_relation(n), "l")
+        rel = left_relation(n)
+        scan = SeqScan(rel, "l")
+        predicate = col("l.k") > lit(0)
         fused = FusedPipeline(
-            scan, col("l.k") > lit(0), [1, 0], scan.schema.project(["l.v", "l.k"])
+            scan, predicate, [1, 0], scan.schema.project(["l.v", "l.k"])
         )
-        assert_columns_match_rows(fused)
+        assert_matches_reference(
+            fused, Project(Select(Scan(rel, "l"), predicate), ["l.v", "l.k"])
+        )
 
     def test_fused_pipeline_filter_only(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_columns_match_rows(
-            FusedPipeline(scan, col("l.v").ne(lit("v1")), None, scan.schema)
+        rel = left_relation(n)
+        scan = SeqScan(rel, "l")
+        predicate = col("l.v").ne(lit("v1"))
+        assert_matches_reference(
+            FusedPipeline(scan, predicate, None, scan.schema),
+            Select(Scan(rel, "l"), predicate),
         )
 
+    def test_fused_pipeline_over_index_scan(self, n):
+        from repro.relational.physical import IndexScan
+
+        rel = left_relation(n)
+        index = ensure_index(rel, ["l.v"], kind="hash")
+        residual = col("l.k") < lit(4)
+        scan = IndexScan(index, "l", rel.schema, point="v1", residual=residual)
+        predicate = col("l.k") > lit(0)
+        fused = FusedPipeline(
+            scan, predicate, [1, 0], scan.schema.project(["l.v", "l.k"])
+        )
+        point = col("l.v").eq(lit("v1"))
+        assert_matches_reference(
+            fused,
+            Project(Select(Scan(rel, "l"), point & residual & predicate), ["l.v", "l.k"]),
+        )
+        # the scan keeps its own accounting: matched rows after the residual,
+        # chunked by the batch size
+        matched = len(evaluate(Select(Scan(rel, "l"), point & residual)))
+        assert scan.actual_rows == matched
+        assert scan.actual_batches == -(-matched // B)
+
     def test_hash_join(self, n):
-        assert_columns_match_rows(
-            HashJoin(
-                SeqScan(left_relation(n), "l"),
-                SeqScan(right_relation(n), "r"),
-                [("l.k", "r.k")],
-            )
+        lrel, rrel = left_relation(n), right_relation(n)
+        assert_matches_reference(
+            HashJoin(SeqScan(lrel, "l"), SeqScan(rrel, "r"), [("l.k", "r.k")]),
+            Join(Scan(lrel, "l"), Scan(rrel, "r"), equi()),
         )
 
     def test_hash_join_residual(self, n):
-        assert_columns_match_rows(
+        lrel, rrel = left_relation(n), right_relation(n)
+        residual = col("r.w") > lit(0)
+        assert_matches_reference(
             HashJoin(
-                SeqScan(left_relation(n), "l"),
-                SeqScan(right_relation(n), "r"),
+                SeqScan(lrel, "l"),
+                SeqScan(rrel, "r"),
                 [("l.k", "r.k")],
-                residual=col("r.w") > lit(0),
-            )
+                residual=residual,
+            ),
+            Join(Scan(lrel, "l"), Scan(rrel, "r"), equi(residual)),
         )
 
     def test_hash_join_folded_output(self, n):
+        lrel, rrel = left_relation(n), right_relation(n)
+        residual = col("r.w") > lit(0)
         join = HashJoin(
-            SeqScan(left_relation(n), "l"),
-            SeqScan(right_relation(n), "r"),
+            SeqScan(lrel, "l"),
+            SeqScan(rrel, "r"),
             [("l.k", "r.k")],
-            residual=col("r.w") > lit(0),
+            residual=residual,
         )
         join.set_output([3, 1], join.schema.project(["r.w", "l.v"]))
-        assert_columns_match_rows(join)
+        assert_matches_reference(
+            join,
+            Project(Join(Scan(lrel, "l"), Scan(rrel, "r"), equi(residual)), ["r.w", "l.v"]),
+        )
 
     def test_index_join_folded_output(self, n):
-        inner = right_relation(n)
+        lrel, inner = left_relation(n), right_relation(n)
         index = ensure_index(inner, ["r.k"], kind="hash")
-        outer = SeqScan(left_relation(n), "l")
+        outer = SeqScan(lrel, "l")
         from repro.relational.physical import IndexNestedLoopJoin, IndexScan
 
         probe = IndexScan(index, "r", inner.schema, probe=True)
         join = IndexNestedLoopJoin(outer, probe, index, [0], [("l.k", "r.k")])
         join.set_output([2, 1], join.schema.project(["r.k", "l.v"]))
-        assert_columns_match_rows(join)
+        assert_matches_reference(
+            join, Project(Join(Scan(lrel, "l"), Scan(inner, "r"), equi()), ["r.k", "l.v"])
+        )
 
     def test_merge_join(self, n):
-        assert_columns_match_rows(
+        lrel, rrel = left_relation(n), right_relation(n)
+        residual = col("r.w") > lit(10)
+        assert_matches_reference(
             MergeJoin(
-                SeqScan(left_relation(n), "l"),
-                SeqScan(right_relation(n), "r"),
+                SeqScan(lrel, "l"),
+                SeqScan(rrel, "r"),
                 [("l.k", "r.k")],
-                residual=col("r.w") > lit(10),
-            )
+                residual=residual,
+            ),
+            Join(Scan(lrel, "l"), Scan(rrel, "r"), equi(residual)),
         )
 
     def test_nested_loop(self, n):
-        assert_columns_match_rows(
-            NestedLoopJoin(
-                SeqScan(left_relation(n), "l"),
-                SeqScan(right_relation(min(n, B)), "r"),
-                col("l.k") < col("r.k"),
-            )
+        lrel, rrel = left_relation(n), right_relation(min(n, B))
+        predicate = col("l.k") < col("r.k")
+        assert_matches_reference(
+            NestedLoopJoin(SeqScan(lrel, "l"), SeqScan(rrel, "r"), predicate),
+            Join(Scan(lrel, "l"), Scan(rrel, "r"), predicate),
         )
 
     def test_semi_join(self, n):
-        assert_columns_match_rows(
-            SemiJoinOp(
-                SeqScan(left_relation(n), "l"),
-                SeqScan(right_relation(n), "r"),
-                col("l.k").eq(col("r.k")) & (col("r.w") > lit(0)),
-            )
+        lrel, rrel = left_relation(n), right_relation(n)
+        predicate = equi(col("r.w") > lit(0))
+        assert_matches_reference(
+            SemiJoinOp(SeqScan(lrel, "l"), SeqScan(rrel, "r"), predicate),
+            SemiJoin(Scan(lrel, "l"), Scan(rrel, "r"), predicate),
         )
 
     def test_hash_distinct(self, n):
-        assert_columns_match_rows(HashDistinct(SeqScan(left_relation(n), "l")))
+        rel = left_relation(n)
+        assert_matches_reference(HashDistinct(SeqScan(rel, "l")), Distinct(Scan(rel, "l")))
 
     def test_append(self, n):
-        assert_columns_match_rows(
-            Append(
-                SeqScan(left_relation(n), "a"),
-                SeqScan(left_relation(max(n - 1, 0)), "b"),
-            )
+        a, b = left_relation(n), left_relation(max(n - 1, 0))
+        assert_matches_reference(
+            Append(SeqScan(a, "a"), SeqScan(b, "b")), Union(Scan(a, "a"), Scan(b, "b"))
         )
 
     def test_except(self, n):
-        assert_columns_match_rows(
-            Except(
-                SeqScan(left_relation(n), "a"), SeqScan(left_relation(n // 2), "b")
-            )
+        a, b = left_relation(n), left_relation(n // 2)
+        assert_matches_reference(
+            Except(SeqScan(a, "a"), SeqScan(b, "b")),
+            Difference(Scan(a, "a"), Scan(b, "b")),
         )
 
     def test_sort(self, n):
-        assert_columns_match_rows(
-            Sort(SeqScan(left_relation(n), "l"), ["l.v", "l.k"])
-        )
+        rel = left_relation(n)
+        assert_matches_reference(Sort(SeqScan(rel, "l"), ["l.v", "l.k"]), Scan(rel, "l"))
+        # order, not just the bag: the output is the stable key sort
+        got = execute(Sort(SeqScan(rel, "l"), ["l.v", "l.k"]), batch_size=B)
+        assert got.rows == rel.sorted(["l.v", "l.k"]).rows
 
     def test_materialize(self, n):
-        assert_columns_match_rows(Materialize(SeqScan(left_relation(n), "l")))
+        rel = left_relation(n)
+        assert_matches_reference(Materialize(SeqScan(rel, "l")), Scan(rel, "l"))
 
 
 class TestMergeJoinPresorted:
@@ -237,16 +297,15 @@ class TestMergeJoinPresorted:
         join = MergeJoin(
             SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")]
         )
-        via_columns = execute(join, mode="columns")
+        got = execute(join)
         # the Sort children were never drained: the join consumed the
         # indexes' ordered rows directly
         assert join.left.actual_rows is None
         assert join.right.actual_rows is None
-        reference = MergeJoin(
-            SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")]
+        expected = evaluate(
+            Join(Scan(left, "l"), Scan(right, "r"), col("l.k").eq(col("r.k")))
         )
-        via_rows = execute(reference, mode="rows")
-        assert sorted(via_columns.rows) == sorted(via_rows.rows)
+        assert sorted(got.rows) == sorted(expected.rows)
 
     def test_presorted_with_nulls_matches_sorting_path(self):
         left = Relation(["l.k"], [(None,), (1,), (2,), (1,)])
@@ -254,14 +313,16 @@ class TestMergeJoinPresorted:
         ensure_index(left, ["l.k"], kind="sorted")
         ensure_index(right, ["r.k"], kind="sorted")
         join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert_columns_match_rows(join)
+        assert_matches_reference(
+            join, Join(Scan(left, "l"), Scan(right, "r"), col("l.k").eq(col("r.k")))
+        )
 
     def test_one_presorted_side_falls_back(self):
         left = Relation(["l.k"], [(2,), (1,)])
         ensure_index(left, ["l.k"], kind="sorted")
         right = Relation(["r.k"], [(1,), (2,)])
         join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert len(execute(join, mode="columns")) == 2
+        assert len(execute(join)) == 2
 
     def test_cross_type_keys_match_sorting_path(self):
         # 1 == 1.0 under raw comparison but not under _sort_key: the
@@ -271,15 +332,12 @@ class TestMergeJoinPresorted:
         ensure_index(left, ["l.k"], kind="sorted")
         ensure_index(right, ["r.k"], kind="sorted")
         join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert_columns_match_rows(join)
         bare = MergeJoin(
             SeqScan(Relation(["l.k", "l.v"], [(1, "l")]), "l"),
             SeqScan(Relation(["r.k", "r.w"], [(1.0, "r")]), "r"),
             [("l.k", "r.k")],
         )
-        assert sorted(execute(join, mode="columns").rows) == sorted(
-            execute(bare, mode="columns").rows
-        )
+        assert sorted(execute(join).rows) == sorted(execute(bare).rows)
 
     def test_incomparable_sides_fall_back(self):
         left = Relation(["l.k"], [(1,), (2,)])
@@ -287,12 +345,12 @@ class TestMergeJoinPresorted:
         ensure_index(left, ["l.k"], kind="sorted")
         ensure_index(right, ["r.k"], kind="sorted")
         join = MergeJoin(SeqScan(left, "l"), SeqScan(right, "r"), [("l.k", "r.k")])
-        assert execute(join, mode="columns").rows == []
+        assert execute(join).rows == []
 
 
 # ----------------------------------------------------------------------
-# property tests: columns == blocks == rows, fused and unfused,
-# indexed and sequential
+# property tests: the executor equals the reference interpreter, with and
+# without optimization, indexed and sequential
 # ----------------------------------------------------------------------
 values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
@@ -377,27 +435,28 @@ def bag(relation: Relation):
     return sorted(map(repr, relation.rows))
 
 
-@given(plans(), batch_sizes, st.booleans(), st.booleans())
-@settings(max_examples=150, deadline=None)
-def test_three_modes_agree(plan, batch_size, use_indexes, optimize_first):
-    logical = optimize(plan) if optimize_first else plan
-    unfused = plan_physical(logical, use_indexes=use_indexes, fuse=False)
-    fused = plan_physical(logical, use_indexes=use_indexes, fuse=True)
-    via_rows = execute(unfused, mode="rows")
-    via_blocks = execute(unfused, mode="blocks", batch_size=batch_size)
-    via_columns = execute(fused, mode="columns", batch_size=batch_size)
-    assert bag(via_blocks) == bag(via_rows)
-    assert bag(via_columns) == bag(via_rows)
-    assert via_columns.schema.names == via_rows.schema.names
-    # the fused tree is mode-agnostic: identical answers in every mode
-    assert bag(execute(fused, mode="rows")) == bag(via_rows)
-    assert bag(execute(fused, mode="blocks", batch_size=batch_size)) == bag(via_rows)
-
-
 @given(plans(), batch_sizes, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_three_modes_agree(plan, batch_size, use_indexes):
+    """Three routes to one answer: the reference interpreter, the executor
+    on the plan as written, and the executor on the optimized plan."""
+    expected = evaluate(plan)
+    direct = execute(plan_physical(plan, use_indexes=use_indexes), batch_size=batch_size)
+    optimized_plan = plan_physical(optimize(plan), use_indexes=use_indexes)
+    optimized = execute(optimized_plan, batch_size=batch_size)
+    assert bag(direct) == bag(expected)
+    assert bag(optimized) == bag(expected)
+    assert direct.schema.names == optimized.schema.names == expected.schema.names
+    # plans are re-entrant: a second execution of the same tree agrees
+    assert bag(execute(optimized_plan, batch_size=batch_size)) == bag(expected)
+
+
+@given(plans(), batch_sizes)
 @settings(max_examples=60, deadline=None)
-def test_merge_join_profile_three_modes(plan, batch_size, fuse):
-    physical = plan_physical(optimize(plan), prefer_merge_join=True, fuse=fuse)
-    via_rows = execute(physical, mode="rows")
-    via_columns = execute(physical, mode="columns", batch_size=batch_size)
-    assert bag(via_columns) == bag(via_rows)
+def test_merge_join_profile_three_modes(plan, batch_size):
+    """The merge-join planner profile, as written and optimized, equals
+    the reference interpreter."""
+    expected = bag(evaluate(plan))
+    for logical in (plan, optimize(plan)):
+        physical = plan_physical(logical, prefer_merge_join=True)
+        assert bag(execute(physical, batch_size=batch_size)) == expected

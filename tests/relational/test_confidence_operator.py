@@ -3,9 +3,9 @@
 The kernel groups the translated U-relation columnar-batch-at-a-time and
 computes per-group confidence through the shared memoized engine; the
 reference path materializes a :class:`URelation` and calls
-``confidence_relation``.  For every random database, query shape, and
-execution mode the two must agree bit-for-bit on group keys and within
-float tolerance on probabilities.
+``confidence_relation``.  For every random database and query shape the
+two must agree bit-for-bit on group keys and within float tolerance on
+probabilities.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ def assert_rows_match(actual, expected):
 
 
 # -- the central equivalence --------------------------------------------
-@given(prob_udatabases(), queries(), st.sampled_from(["rows", "blocks", "columns"]))
+@given(prob_udatabases(), queries())
 @settings(max_examples=60, deadline=None)
-def test_operator_matches_tuple_at_a_time(udb, query, mode):
-    answer = execute_query(Conf(query, method="exact"), udb, mode=mode)
+def test_operator_matches_tuple_at_a_time(udb, query):
+    answer = execute_query(Conf(query, method="exact"), udb)
     reference = confidence_relation(
         execute_query(query, udb), udb.world_table, method="exact"
     )

@@ -41,12 +41,13 @@ class TestOperatorLabels:
 
     def test_projection(self, scans):
         r, _ = scans
-        out = text_of(Project(r, ["b"]))
+        # over a distinct, so the projection does not fuse into the scan
+        out = text_of(Project(Distinct(r), ["b"]))
         assert "Project" in out and "Output: b" in out
 
     def test_project_as(self, scans):
         r, _ = scans
-        out = text_of(ProjectAs(r, [("a", "x"), ("a", "y")]))
+        out = text_of(ProjectAs(Distinct(r), [("a", "x"), ("a", "y")]))
         assert "a AS x" in out
 
     def test_extend(self, scans):

@@ -22,6 +22,7 @@ from repro.relational.expressions import (
 from repro.relational.explain import explain, explain_analyze
 from repro.relational.physical import FusedPipeline, HashJoin, execute
 from repro.relational.planner import plan_physical
+from repro.relational.reference import evaluate
 
 
 def small_udb() -> UDatabase:
@@ -47,11 +48,9 @@ class TestFusion:
     def test_scan_filter_project_chain_fuses(self):
         rel = Relation(["a", "b", "c"], [(i, i * 2, i * 3) for i in range(20)])
         plan = Project(Select(Scan(rel, "t"), col("a") > lit(5)), ["c", "a"])
-        fused = plan_physical(plan, use_indexes=False, fuse=True)
+        fused = plan_physical(plan, use_indexes=False)
         assert isinstance(fused, FusedPipeline)
-        assert execute(fused, mode="columns") == execute(
-            plan_physical(plan, use_indexes=False), mode="rows"
-        )
+        assert execute(fused) == evaluate(plan)
         text = explain(fused)
         assert "Fused Pipeline" in text
         assert "Project" not in text
@@ -62,12 +61,10 @@ class TestFusion:
             Select(Rename(Scan(rel, "t"), {"a": "x.a"}), col("x.a") > lit(2)),
             ["x.a"],
         )
-        fused = plan_physical(plan, use_indexes=False, fuse=True)
+        fused = plan_physical(plan, use_indexes=False)
         assert isinstance(fused, FusedPipeline)
         assert fused.schema.names == ["x.a"]
-        assert execute(fused, mode="columns") == execute(
-            plan_physical(plan, use_indexes=False), mode="rows"
-        )
+        assert execute(fused) == evaluate(plan)
 
     def test_projection_folds_into_join(self):
         r = Relation(["r.a", "r.b"], [(i % 3, i) for i in range(9)])
@@ -76,11 +73,12 @@ class TestFusion:
             Join(Scan(r, "r"), Scan(s, "s"), col("r.a").eq(col("s.c"))),
             ["s.d", "r.b"],
         )
-        fused = plan_physical(plan, use_indexes=False, fuse=True)
+        fused = plan_physical(plan, use_indexes=False)
         assert isinstance(fused, HashJoin)
         assert fused.output_positions == [3, 1]
         assert fused.schema.names == ["s.d", "r.b"]
         assert "Output: s.d, r.b" in explain(fused)
+        assert execute(fused) == evaluate(plan)
 
     def test_translated_plan_has_no_standalone_projects(self):
         """The inter-merge Projects disappear into the join emits."""
@@ -91,18 +89,17 @@ class TestFusion:
 
         inner = translate(query().child, udb)
         plan = optimize(Distinct(Project(inner.plan, list(inner.value_names))))
-        unfused = plan_physical(plan, use_indexes=True, fuse=False)
-        fused = plan_physical(plan, use_indexes=True, fuse=True)
-        assert "Project" in explain(unfused)  # the baseline tree has them
+        fused = plan_physical(plan, use_indexes=True)
+        assert "Project" in explain(plan)  # the logical tree has them
         text = explain(fused)
         assert "Project" not in text.replace("Fused Pipeline", "")
-        assert execute(fused, mode="columns") == execute(unfused, mode="rows")
+        assert execute(fused) == evaluate(plan)
 
     def test_explain_analyze_reports_per_pipeline_counts(self):
         rel = Relation(["a", "b"], [(i, i) for i in range(10)])
         plan = Project(Select(Scan(rel, "t"), col("a") > lit(4)), ["b"])
-        fused = plan_physical(plan, use_indexes=False, fuse=True)
-        result, text = explain_analyze(fused, mode="columns")
+        fused = plan_physical(plan, use_indexes=False)
+        result, text = explain_analyze(fused)
         assert len(result) == 5
         first = text.splitlines()[0]
         assert "Fused Pipeline" in first and "actual rows=5" in first

@@ -317,15 +317,30 @@ class TestAccessPathSelection:
         assert db.run(plan) == db.run(plan, use_indexes=False)
 
 
+def consumed(plan, consume: str, batch_size: int):
+    """A plan's output rows, read as a materialized relation (``rows``) or
+    as its batch stream (``blocks``: no empty batches, and a scan's batches
+    fit the batch size — a join emits per probe batch, so it may exceed it)."""
+    if consume == "rows":
+        return execute(plan, batch_size=batch_size).rows
+    limit = max(batch_size, 1) if isinstance(plan, IndexScan) else None
+    out = []
+    for batch in plan.column_batches(batch_size):
+        assert len(batch) > 0
+        assert limit is None or len(batch) <= limit
+        out.extend(batch.to_rows())
+    return out
+
+
 class TestIndexScanExecution:
     @pytest.mark.parametrize("batch_size", [0, 1, 1023, 1024, 1025])
-    @pytest.mark.parametrize("mode", ["rows", "blocks"])
-    def test_modes_and_batch_sizes(self, batch_size, mode):
+    @pytest.mark.parametrize("consume", ["rows", "blocks"])
+    def test_modes_and_batch_sizes(self, batch_size, consume):
         rel = people(1030)
         idx = ensure_index(rel, ["dept"], kind="hash")
         scan = IndexScan(idx, "p", rel.schema, point=3)
-        out = execute(scan, mode=mode, batch_size=batch_size)
-        assert sorted(out.rows) == sorted(r for r in rel.rows if r[1] == 3)
+        out = consumed(scan, consume, batch_size)
+        assert sorted(out) == sorted(r for r in rel.rows if r[1] == 3)
 
     def test_probe_mode_produces_nothing(self):
         rel = people()
@@ -354,9 +369,9 @@ class TestIndexScanExecution:
 
 class TestIndexNestedLoopJoinExecution:
     @pytest.mark.parametrize("batch_size", [0, 1, 1023, 1024, 1025])
-    @pytest.mark.parametrize("mode", ["rows", "blocks"])
+    @pytest.mark.parametrize("consume", ["rows", "blocks"])
     @pytest.mark.parametrize("use_indexes", [False, True])
-    def test_join_modes_and_batch_sizes(self, batch_size, mode, use_indexes):
+    def test_join_modes_and_batch_sizes(self, batch_size, consume, use_indexes):
         left = Relation(["l.k", "l.v"], [(i % 37 if i % 5 else None, i) for i in range(300)])
         right = Relation(["r.k", "r.w"], [(i % 37, i * 2) for i in range(400)])
         ensure_index(right, ["r.k"], kind="hash")
@@ -367,9 +382,9 @@ class TestIndexNestedLoopJoinExecution:
         physical = plan_physical(plan, use_indexes=use_indexes)
         if use_indexes:
             assert isinstance(physical, IndexNestedLoopJoin)
-        out = execute(physical, mode=mode, batch_size=batch_size)
+        out = consumed(physical, consume, batch_size)
         expected = [
             l + r for l in left.rows for r in right.rows
             if l[0] is not None and l[0] == r[0]
         ]
-        assert sorted(map(repr, out.rows)) == sorted(map(repr, expected))
+        assert sorted(map(repr, out)) == sorted(map(repr, expected))

@@ -122,7 +122,11 @@ class TestSetOpsAndMisc:
     def test_materialize_caches(self):
         scan = SeqScan(Relation(["a"], [(1,), (2,)]), "t")
         mat = Materialize(scan)
-        assert list(mat.rows()) == list(mat.rows()) == [(1,), (2,)]
+        assert execute(mat).rows == [(1,), (2,)]
+        scan.actual_rows = None
+        # the second execution replays the cache without draining the child
+        assert execute(mat).rows == [(1,), (2,)]
+        assert scan.actual_rows is None
 
     def test_explain_labels_present(self, left, right):
         join = HashJoin(left, right, [("l.k", "r.k")], residual=col("r.w") > lit(0))

@@ -7,9 +7,9 @@ Three families:
 * invalidation — each catalog mutation evicts exactly the dependent
   entries (unrelated cached plans survive and keep hitting);
 * property tests (hypothesis) — cached-plan execution is tuple-identical
-  to fresh-plan execution across all three modes, batch sizes
-  {0, 1, 1023, 1024, 1025}, ``use_indexes`` on/off, and fused/unfused
-  plans, mirroring ``test_columnar.py``.
+  to fresh-plan execution and to the reference interpreter across batch
+  sizes {0, 1, 1023, 1024, 1025} and ``use_indexes`` on/off, mirroring
+  ``test_columnar.py``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from repro.relational.plancache import (
 )
 from repro.relational.planner import plan_physical
 from repro.relational.physical import execute
+from repro.relational.reference import evaluate
 
 
 def make_db():
@@ -87,11 +88,12 @@ class TestMechanics:
     def test_modes_share_or_split_entries_correctly(self):
         db = make_db()
         plan = query(db)
-        db.run(plan, mode="columns")
-        db.run(plan, mode="blocks")  # unfused: a separate plan
-        db.run(plan, mode="rows")  # shares the unfused blocks plan
+        db.run(plan)
+        db.run(plan, batch_size=1)  # an execution knob: same cached plan
+        db.run(plan, batch_size=7)
+        db.run(plan, use_indexes=False)  # a plan knob: a separate plan
         stats = plan_cache_stats()
-        assert stats["misses"] == 2 and stats["hits"] == 1
+        assert stats["misses"] == 2 and stats["hits"] == 2
 
     def test_knobs_key_separately(self):
         db = make_db()
@@ -280,7 +282,7 @@ class TestInvalidation:
 
 
 # ----------------------------------------------------------------------
-# property tests: cached == fresh, all modes x batch sizes x knobs
+# property tests: cached == fresh == reference, batch sizes x knobs
 # ----------------------------------------------------------------------
 values = st.one_of(st.integers(min_value=0, max_value=9), st.none())
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=30)
@@ -349,28 +351,25 @@ def bag(relation: Relation):
     return sorted(map(repr, relation.rows))
 
 
-@given(plans(), batch_sizes, st.booleans(), st.sampled_from(["rows", "blocks", "columns"]))
+@given(plans(), batch_sizes, st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_cached_equals_fresh(plan, batch_size, use_indexes, mode):
+def test_cached_equals_fresh(plan, batch_size, use_indexes):
     """A plan served from the cache produces the same tuples a fresh
-    compilation does — across modes, batch sizes, and index knobs, and on
-    repeated executions of the same cached tree."""
-    fuse = mode == "columns"
+    compilation does — across batch sizes and index knobs, and on repeated
+    executions of the same cached tree — and the reference answer."""
     fresh = execute(
-        plan_physical(optimize(plan), use_indexes=use_indexes, fuse=fuse),
-        mode=mode,
-        batch_size=batch_size,
+        plan_physical(optimize(plan), use_indexes=use_indexes), batch_size=batch_size
     )
     db = Database()
-    cold = db.run(plan, mode=mode, batch_size=batch_size, use_indexes=use_indexes)
-    warm = db.run(plan, mode=mode, batch_size=batch_size, use_indexes=use_indexes)
-    warm_again = db.run(plan, mode=mode, batch_size=batch_size, use_indexes=use_indexes)
-    assert bag(cold) == bag(fresh)
+    cold = db.run(plan, batch_size=batch_size, use_indexes=use_indexes)
+    warm = db.run(plan, batch_size=batch_size, use_indexes=use_indexes)
+    warm_again = db.run(plan, batch_size=batch_size, use_indexes=use_indexes)
+    assert bag(cold) == bag(fresh) == bag(evaluate(plan))
     assert bag(warm) == bag(fresh)
     assert bag(warm_again) == bag(fresh)
     assert warm.schema.names == fresh.schema.names
     assert cache_contains(
-        ("db-run", id(db), logical_plan_key(plan), True, False, use_indexes, fuse, 0)
+        ("db-run", id(db), logical_plan_key(plan), True, False, use_indexes)
     )
 
 

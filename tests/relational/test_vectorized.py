@@ -1,13 +1,13 @@
-"""Tests for the block-at-a-time executor and compiled expressions.
+"""Tests for batch-at-a-time execution and compiled expressions.
 
 Two families:
 
-* batch-boundary tests — every physical operator is executed in both
-  ``mode="rows"`` and ``mode="blocks"`` over inputs of size 0, 1, one
-  batch exactly, and one batch ± 1, and must produce identical bags;
-* property tests — randomized logical plans (and randomized predicates)
-  must evaluate identically through the legacy iterators, the block
-  executor, and compiled expressions.
+* batch-boundary tests — every physical operator is executed over inputs
+  of size 0, 1, one batch exactly, and one batch ± 1, and must produce the
+  bag the reference interpreter computes for the equivalent logical plan;
+* property tests — randomized logical plans must execute to the reference
+  interpreter's answer, and compiled expressions must agree with bound
+  closures on randomized rows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.relational.algebra import Distinct, Join, Product, Project, Scan, Select, Union
+from repro.relational.algebra import (
+    Difference,
+    Distinct,
+    Extend,
+    Join,
+    Product,
+    Project,
+    ProjectAs,
+    Scan,
+    Select,
+    SemiJoin,
+    Union,
+)
 from repro.relational.expressions import col, compile_expression, lit
 from repro.relational.physical import (
     BATCH_SIZE,
@@ -36,6 +48,7 @@ from repro.relational.physical import (
     execute,
 )
 from repro.relational.planner import plan_physical
+from repro.relational.reference import evaluate
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
@@ -58,11 +71,22 @@ def right_relation(n: int) -> Relation:
     return Relation(["r.k", "r.w"], rows)
 
 
-def assert_modes_agree(plan, batch_size: int = B) -> None:
-    via_rows = execute(plan, mode="rows")
-    via_blocks = execute(plan, mode="blocks", batch_size=batch_size)
-    assert via_blocks.schema.names == via_rows.schema.names
-    assert sorted(map(repr, via_blocks.rows)) == sorted(map(repr, via_rows.rows))
+def assert_matches_reference(physical, logical, batch_size: int = B) -> None:
+    """``physical`` executes to the bag ``logical`` denotes."""
+    got = execute(physical, batch_size=batch_size)
+    expected = evaluate(logical)
+    assert got.schema.names == expected.schema.names
+    assert sorted(map(repr, got.rows)) == sorted(map(repr, expected.rows))
+
+
+def inputs(n: int, right_rows=None):
+    """Base relations with their scans: ``(l, r, SeqScan l, SeqScan r)``."""
+    lrel = left_relation(n)
+    rrel = right_relation(n if right_rows is None else right_rows)
+    return Scan(lrel, "l"), Scan(rrel, "r"), SeqScan(lrel, "l"), SeqScan(rrel, "r")
+
+
+EQUI = col("l.k").eq(col("r.k"))
 
 
 @pytest.mark.parametrize("n", BOUNDARY_SIZES)
@@ -70,117 +94,120 @@ class TestBatchBoundaries:
     """Every operator, at every input size around the batch boundary."""
 
     def test_seq_scan(self, n):
-        assert_modes_agree(SeqScan(left_relation(n), "l"))
+        l, _, left, _ = inputs(n)
+        assert_matches_reference(left, l)
 
     def test_filter(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_modes_agree(Filter(scan, col("l.k") > lit(1)))
+        l, _, left, _ = inputs(n)
+        predicate = col("l.k") > lit(1)
+        assert_matches_reference(Filter(left, predicate), Select(l, predicate))
 
     def test_filter_all_rows_pass(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_modes_agree(Filter(scan, col("l.v").ne(lit("nope"))))
+        l, _, left, _ = inputs(n)
+        predicate = col("l.v").ne(lit("nope"))
+        assert_matches_reference(Filter(left, predicate), Select(l, predicate))
 
     def test_projection(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_modes_agree(Projection(scan, ["l.v"]))
+        l, _, left, _ = inputs(n)
+        assert_matches_reference(Projection(left, ["l.v"]), Project(l, ["l.v"]))
 
     def test_projection_as(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_modes_agree(ProjectionAs(scan, [("l.k", "k1"), ("l.k", "k2"), ("l.v", "v")]))
+        l, _, left, _ = inputs(n)
+        items = [("l.k", "k1"), ("l.k", "k2"), ("l.v", "v")]
+        assert_matches_reference(ProjectionAs(left, items), ProjectAs(l, items))
 
     def test_extend(self, n):
-        scan = SeqScan(left_relation(n), "l")
-        assert_modes_agree(ExtendOp(scan, [("kk", col("l.k") + col("l.k")), ("one", lit(1))]))
+        l, _, left, _ = inputs(n)
+        items = [("kk", col("l.k") + col("l.k")), ("one", lit(1))]
+        assert_matches_reference(ExtendOp(left, items), Extend(l, items))
 
     def test_hash_join(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(n), "r")
-        assert_modes_agree(HashJoin(left, right, [("l.k", "r.k")]))
+        l, r, left, right = inputs(n)
+        assert_matches_reference(HashJoin(left, right, [("l.k", "r.k")]), Join(l, r, EQUI))
 
     def test_hash_join_residual(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(n), "r")
-        assert_modes_agree(
-            HashJoin(left, right, [("l.k", "r.k")], residual=col("r.w") > lit(0))
+        l, r, left, right = inputs(n)
+        residual = col("r.w") > lit(0)
+        assert_matches_reference(
+            HashJoin(left, right, [("l.k", "r.k")], residual=residual),
+            Join(l, r, EQUI & residual),
         )
 
     def test_merge_join(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(n), "r")
-        assert_modes_agree(MergeJoin(left, right, [("l.k", "r.k")]))
+        l, r, left, right = inputs(n)
+        assert_matches_reference(MergeJoin(left, right, [("l.k", "r.k")]), Join(l, r, EQUI))
 
     def test_merge_join_residual(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(n), "r")
-        assert_modes_agree(
-            MergeJoin(left, right, [("l.k", "r.k")], residual=col("r.w") > lit(10))
+        l, r, left, right = inputs(n)
+        residual = col("r.w") > lit(10)
+        assert_matches_reference(
+            MergeJoin(left, right, [("l.k", "r.k")], residual=residual),
+            Join(l, r, EQUI & residual),
         )
 
     def test_nested_loop_cross(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(min(n, B)), "r")
-        assert_modes_agree(NestedLoopJoin(left, right, None))
+        l, r, left, right = inputs(n, right_rows=min(n, B))
+        assert_matches_reference(NestedLoopJoin(left, right, None), Product(l, r))
 
     def test_nested_loop_theta(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(n), "r")
-        assert_modes_agree(NestedLoopJoin(left, right, col("l.k") < col("r.k")))
+        l, r, left, right = inputs(n)
+        predicate = col("l.k") < col("r.k")
+        assert_matches_reference(NestedLoopJoin(left, right, predicate), Join(l, r, predicate))
 
     def test_semi_join_hash(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(n), "r")
-        assert_modes_agree(
-            SemiJoinOp(left, right, col("l.k").eq(col("r.k")) & (col("r.w") > lit(0)))
-        )
+        l, r, left, right = inputs(n)
+        predicate = EQUI & (col("r.w") > lit(0))
+        assert_matches_reference(SemiJoinOp(left, right, predicate), SemiJoin(l, r, predicate))
 
     def test_semi_join_loop(self, n):
-        left = SeqScan(left_relation(n), "l")
-        right = SeqScan(right_relation(n), "r")
-        assert_modes_agree(SemiJoinOp(left, right, col("l.k") < col("r.k")))
+        l, r, left, right = inputs(n)
+        predicate = col("l.k") < col("r.k")
+        assert_matches_reference(SemiJoinOp(left, right, predicate), SemiJoin(l, r, predicate))
 
     def test_hash_distinct(self, n):
-        assert_modes_agree(HashDistinct(SeqScan(left_relation(n), "l")))
+        l, _, left, _ = inputs(n)
+        assert_matches_reference(HashDistinct(left), Distinct(l))
 
     def test_append(self, n):
-        a = SeqScan(left_relation(n), "a")
-        b = SeqScan(left_relation(max(n - 1, 0)), "b")
-        assert_modes_agree(Append(a, b))
+        a, b = left_relation(n), left_relation(max(n - 1, 0))
+        assert_matches_reference(
+            Append(SeqScan(a, "a"), SeqScan(b, "b")), Union(Scan(a, "a"), Scan(b, "b"))
+        )
 
     def test_except(self, n):
-        a = SeqScan(left_relation(n), "a")
-        b = SeqScan(left_relation(n // 2), "b")
-        assert_modes_agree(Except(a, b))
+        a, b = left_relation(n), left_relation(n // 2)
+        assert_matches_reference(
+            Except(SeqScan(a, "a"), SeqScan(b, "b")), Difference(Scan(a, "a"), Scan(b, "b"))
+        )
 
     def test_sort(self, n):
-        assert_modes_agree(Sort(SeqScan(left_relation(n), "l"), ["l.v", "l.k"]))
+        l, _, left, _ = inputs(n)
+        assert_matches_reference(Sort(left, ["l.v", "l.k"]), l)
 
     def test_materialize(self, n):
-        assert_modes_agree(Materialize(SeqScan(left_relation(n), "l")))
+        l, _, left, _ = inputs(n)
+        assert_matches_reference(Materialize(left), l)
 
 
 class TestBatchMechanics:
     def test_scan_batch_sizes(self):
         scan = SeqScan(left_relation(B + 1), "l")
-        batches = list(scan.batches(B))
+        batches = list(scan.column_batches(B))
         assert [len(b) for b in batches] == [B, 1]
 
     def test_batch_stats_recorded(self):
         scan = SeqScan(left_relation(2 * B), "l")
         plan = Filter(scan, col("l.k") > lit(0))
-        execute(plan, mode="blocks", batch_size=B)
+        execute(plan, batch_size=B)
         assert scan.actual_rows == 2 * B
         assert scan.actual_batches == 2
         assert plan.actual_rows == sum(1 for r in left_relation(2 * B).rows if r[0] is not None and r[0] > 0)
 
     def test_default_batch_size_used(self):
         scan = SeqScan(left_relation(BATCH_SIZE + 1), "l")
-        out = execute(scan)  # defaults: blocks mode, BATCH_SIZE
+        out = execute(scan)  # default BATCH_SIZE
         assert len(out) == BATCH_SIZE + 1
         assert scan.actual_batches == 2
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            execute(SeqScan(left_relation(1), "l"), mode="vectors")
 
     def test_explain_analyze_reports_actuals(self):
         left = SeqScan(left_relation(B + 1), "l")
@@ -194,7 +221,7 @@ class TestBatchMechanics:
 
 
 # ----------------------------------------------------------------------
-# property tests: rows mode == blocks mode on randomized plans
+# property tests: the executor equals the reference interpreter
 # ----------------------------------------------------------------------
 values = st.integers(min_value=0, max_value=4)
 rows_r = st.lists(st.tuples(values, values), min_size=0, max_size=9)
@@ -249,11 +276,13 @@ def bag(relation: Relation):
 @given(plans(), batch_sizes, st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_blocks_mode_equals_rows_mode(plan, batch_size, prefer_merge_join):
+    """The batch-at-a-time executor equals the row-at-a-time reference
+    interpreter."""
     physical = plan_physical(plan, prefer_merge_join=prefer_merge_join)
-    via_rows = execute(physical, mode="rows")
-    via_blocks = execute(physical, mode="blocks", batch_size=batch_size)
-    assert bag(via_blocks) == bag(via_rows)
-    assert via_blocks.schema.names == via_rows.schema.names
+    got = execute(physical, batch_size=batch_size)
+    expected = evaluate(plan)
+    assert bag(got) == bag(expected)
+    assert got.schema.names == expected.schema.names
 
 
 # ----------------------------------------------------------------------

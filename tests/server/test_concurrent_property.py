@@ -2,13 +2,13 @@
 
 The serving subsystem's core promise: N threads running a mix of cached,
 prepared, and cold queries — through raw ``execute_query`` and through
-server-bound sessions, across all three execution modes — always receive
-answers identical to serial execution, even while a DDL thread bumps the
+server-bound sessions, at several batch sizes — always receive answers
+identical to serial execution, even while a DDL thread bumps the
 catalog (index create/drop, statistics refresh) under them.
 
 Index DDL never changes *what* a query answers, only how it executes, so
 the serial baseline is well-defined throughout.  Without DDL the
-comparison is byte-identical (same rows, same order, per mode); under
+comparison is byte-identical (same rows, same order); under
 concurrent DDL a plan may legitimately switch access paths mid-run, which
 can permute row order, so that comparison is on row multisets.
 """
@@ -23,13 +23,11 @@ import pytest
 from repro.core import execute_query
 from repro.core.query import Poss, Rel, UJoin, UProject, USelect
 from repro.relational.expressions import col, lit
+from repro.relational.plancache import reset_plan_cache
 from repro.server import QueryServer
 from repro.sql import execute_sql
 
 from tests.conftest import build_vehicles_udb
-
-MODES = ["rows", "blocks", "columns"]
-
 
 def _query_pool():
     """(name, query builder) pairs covering selection/join/projection mixes."""
@@ -74,21 +72,23 @@ def _rows_of(result):
     return list(relation.rows)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_threads_running_mixed_queries_match_serial_exactly(mode):
+@pytest.mark.parametrize("batch_size", [1, 7, 1024])
+def test_threads_running_mixed_queries_match_serial_exactly(batch_size):
     """No DDL: every concurrent answer is byte-identical (ordered) to the
-    serial answer in the same mode."""
+    serial answer at the same batch size."""
     udb = build_vehicles_udb()
     pool = _query_pool()
-    expected = {name: _rows_of(execute_query(q, udb, mode=mode)) for name, q in pool}
+    expected = {
+        name: _rows_of(execute_query(q, udb, batch_size=batch_size)) for name, q in pool
+    }
     mismatches = []
 
     def worker(offset):
         for i in range(12):
             name, query = pool[(offset + i) % len(pool)]
-            got = _rows_of(execute_query(query, udb, mode=mode))
+            got = _rows_of(execute_query(query, udb, batch_size=batch_size))
             if got != expected[name]:
-                mismatches.append((name, mode))
+                mismatches.append((name, batch_size))
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
     for t in threads:
@@ -100,7 +100,7 @@ def test_threads_running_mixed_queries_match_serial_exactly(mode):
 
 def test_threads_with_concurrent_ddl_match_serial_multisets():
     """A DDL thread creates/drops indexes and refreshes statistics while
-    six query threads run the mixed workload across all modes; answers
+    six query threads run the mixed workload; answers
     stay multiset-identical to serial."""
     udb = build_vehicles_udb()
     db = udb.to_database()
@@ -128,10 +128,9 @@ def test_threads_with_concurrent_ddl_match_serial_multisets():
         try:
             for i in range(15):
                 name, query = pool[(offset + i) % len(pool)]
-                mode = MODES[(offset + i) % len(MODES)]
-                got = Counter(_rows_of(execute_query(query, udb, mode=mode)))
+                got = Counter(_rows_of(execute_query(query, udb)))
                 if got != expected[name]:
-                    mismatches.append((name, mode))
+                    mismatches.append(name)
         except Exception as error:  # pragma: no cover - the assertion
             errors.append(error)
 
@@ -247,7 +246,7 @@ def test_lazy_index_builds_race_free():
 
 def test_concurrent_dml_readers_see_only_statement_boundaries():
     """A writer thread appends rows one statement at a time while reader
-    threads query in all three modes; every answer equals the serial
+    threads query; every answer equals the serial
     answer *after some prefix of the statements* — never a torn state
     where one vertical partition has a row the others lack."""
     inserts = [(100 + i, "Tank" if i % 2 else "Jeep", "Friend") for i in range(12)]
@@ -279,10 +278,9 @@ def test_concurrent_dml_readers_see_only_statement_boundaries():
         try:
             i = 0
             while not done.is_set() or i < 6:
-                mode = MODES[(offset + i) % len(MODES)]
-                answer = frozenset(_rows_of(execute_query(query, udb, mode=mode)))
+                answer = frozenset(_rows_of(execute_query(query, udb)))
                 if answer not in states:
-                    torn.append((mode, sorted(answer)))
+                    torn.append((offset, sorted(answer)))
                 i += 1
         except Exception as error:  # pragma: no cover
             errors.append(error)
@@ -297,9 +295,8 @@ def test_concurrent_dml_readers_see_only_statement_boundaries():
         t.join(timeout=120)
     assert not errors
     assert not torn
-    # the final state is the full serial application, in every mode
-    for mode in MODES:
-        assert frozenset(_rows_of(execute_query(query, udb, mode=mode))) == valid[-1]
+    # the final state is the full serial application
+    assert frozenset(_rows_of(execute_query(query, udb))) == valid[-1]
 
 
 def test_snapshot_reads_stable_under_concurrent_dml():
@@ -508,7 +505,7 @@ def test_compaction_races_readers_writers_and_snapshots():
     inserts (statements are atomic, no torn vertical state, no lost
     updates), snapshots either stay internally consistent or raise
     ``SnapshotChanged``, and the quiesced database matches the serial
-    twin byte-for-byte in every mode."""
+    twin."""
     from repro.server.session import SnapshotChanged
 
     PER_WRITER = 12
@@ -558,10 +555,8 @@ def test_compaction_races_readers_writers_and_snapshots():
         try:
             i = 0
             while not done.is_set() or i < 6:
-                mode = MODES[(offset + i) % len(MODES)]
                 check(
-                    frozenset(_rows_of(execute_query(query, udb, mode=mode))),
-                    f"reader-{mode}",
+                    frozenset(_rows_of(execute_query(query, udb))), f"reader-{offset}"
                 )
                 i += 1
         except Exception as error:  # pragma: no cover
@@ -606,20 +601,16 @@ def test_compaction_races_readers_writers_and_snapshots():
     assert not violations
     # quiesced: one final VACUUM, then identical to the serial twin.
     # Interleaved writers permute insertion order, so the cross-database
-    # comparison sorts; *within* udb, every mode must agree byte-for-byte
-    # on one answer (a stale columnar plan would diverge here).
+    # comparison sorts; *within* udb, a cached and a freshly planned run
+    # must agree byte-for-byte (a stale cached plan would diverge here).
     udb.compact()
     for part in udb.partitions("r"):
         assert len(part.relation.segments()) == 1
         assert part.relation.deleted_ordinals() == frozenset()
-    answers = {
-        mode: _rows_of(execute_query(query, udb, mode=mode)) for mode in MODES
-    }
-    for mode in MODES:
-        assert sorted(answers[mode]) == sorted(
-            _rows_of(execute_query(query, twin, mode=mode))
-        ), mode
-    assert answers["rows"] == answers["blocks"] == answers["columns"]
+    answer = _rows_of(execute_query(query, udb))
+    assert sorted(answer) == sorted(_rows_of(execute_query(query, twin)))
+    reset_plan_cache()
+    assert _rows_of(execute_query(query, udb)) == answer
 
 
 def test_transactions_all_or_nothing_under_interleaving():

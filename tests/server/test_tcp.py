@@ -234,3 +234,32 @@ def test_dml_over_tcp(served):
         assert stats["admission"]["dml"]["admitted"] == 4
     finally:
         client.close()
+
+
+def test_string_date_binding_over_tcp():
+    """JSON has no date type: a bound ``'YYYY-MM-DD'`` string must answer
+    like the inline date literal."""
+    from repro.ugen import generate_uncertain
+
+    udb = generate_uncertain(scale=0.0005, seed=42, tables=["orders"]).udb
+    server = QueryServer(udb, workers=2)
+    handle = server.serve_tcp()
+    client = Client(handle.address)
+    try:
+        literal = client.rpc(
+            op="query",
+            sql="possible (select o.orderkey from orders o where o.orderdate > '1995-03-15')",
+        )
+        assert literal["ok"] and literal["rows"]
+        assert client.rpc(
+            op="prepare",
+            name="since",
+            sql="possible (select o.orderkey from orders o where o.orderdate > $1)",
+        ) == {"ok": True, "prepared": "since", "parameters": 1}
+        bound = client.rpc(op="execute", name="since", params=["1995-03-15"])
+        assert bound["ok"]
+        assert sorted(map(tuple, bound["rows"])) == sorted(map(tuple, literal["rows"]))
+    finally:
+        client.close()
+        handle.close()
+        server.close()

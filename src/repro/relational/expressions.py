@@ -37,7 +37,10 @@ approximates SQL's three-valued logic by "unknown is false", which is the
 behaviour observable through WHERE clauses).
 
 The optimizer relies on the analysis helpers at the bottom of this module:
-:func:`split_conjuncts`, :func:`columns_of`, :func:`equijoin_pairs`.
+:func:`split_conjuncts`, :func:`columns_of`, :func:`equijoin_pairs`,
+:func:`constant_truth`.  :func:`conjunction` folds constant-true parts
+away, so the ``TRUE`` a SQL FROM-list comma joins on never reaches a
+join filter.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ __all__ = [
     "FALSE",
     "split_conjuncts",
     "columns_of",
+    "constant_truth",
     "equijoin_pairs",
     "compile_expression",
     "structural_key",
@@ -495,8 +499,12 @@ FALSE: Expression = Comparison("=", Lit(1), Lit(0))
 
 
 def conjunction(parts: Sequence[Expression]) -> Expression:
-    """AND together a sequence of expressions (empty -> TRUE)."""
-    parts = [p for p in parts if p is not None]
+    """AND together a sequence of expressions (empty -> TRUE).
+
+    Constant-true parts are dropped: they filter nothing, and a join
+    filter would otherwise evaluate them once per row pair.
+    """
+    parts = [p for p in parts if p is not None and constant_truth(p) is not True]
     if not parts:
         return TRUE
     if len(parts) == 1:
@@ -525,6 +533,28 @@ def split_conjuncts(expression: Expression) -> List[Expression]:
             out.extend(split_conjuncts(op))
         return out
     return [expression]
+
+
+def constant_truth(expression: Expression) -> Optional[bool]:
+    """The value of a comparison between two literals, else ``None``.
+
+    ``None`` also covers expressions that read a column or a ``$n``
+    parameter, and literals that do not compare (``1 < 'a'``).  A NULL
+    operand makes the comparison false, as it does at run time.
+    """
+    if not (
+        isinstance(expression, Comparison)
+        and isinstance(expression.left, Lit)
+        and isinstance(expression.right, Lit)
+    ):
+        return None
+    left, right = expression.left.value, expression.right.value
+    if left is None or right is None:
+        return False
+    try:
+        return bool(_COMPARATORS[expression.op](left, right))
+    except TypeError:
+        return None
 
 
 def columns_of(expression: Expression) -> FrozenSet[str]:

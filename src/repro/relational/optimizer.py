@@ -5,15 +5,30 @@ Implements the classical rewrites the paper relies on PostgreSQL for:
 1. **Conjunct splitting + selection pushdown** — σ over AND splits into
    cascaded selections, each pushed as far toward the leaves as its column
    references allow (through projections, renames, distinct, and into the
-   matching side of joins/products).
+   matching side of joins/products).  Constant-true conjuncts (the ``TRUE``
+   a SQL FROM-list comma joins on) are dropped.
 2. **Product-to-join conversion** — a selection over a cartesian product
    whose conjuncts span both sides becomes a join predicate.
 3. **Greedy selectivity-based join ordering** — cascades of joins/products
-   are flattened into a join graph and re-assembled left-deep, choosing at
-   each step the input that minimizes the estimated intermediate result,
-   avoiding cross products when any connected choice exists.  This is the
-   "standard selectivity-based cost measure" behaviour that Section 3 of the
-   paper reports works well for translated U-relation queries.
+   are flattened into a join graph and re-assembled by repeatedly joining
+   the two inputs with the smallest estimated result (greedy operator
+   ordering, which may build bushy trees), avoiding cross products when
+   any connected pair exists.  This is the "standard selectivity-based
+   cost measure" behaviour that Section 3 of the paper reports works well
+   for translated U-relation queries.
+
+   What flattens: a join or product, and a ``Project`` directly over one
+   that only *reorders* its child's columns — the shape every translated
+   join takes (``[[R ⋈ S]]`` re-lists descriptor, tid and value columns).
+   What stays a leaf: everything else, in particular a translated *merge*,
+   whose ``Project`` drops the right side's ``tid__r`` columns (nested
+   merges reuse that suffix, so merge units must stay closed).
+
+   Estimates: equi-pairs of one join combine as if independent, and a ψ
+   descriptor-consistency conjunct is priced near 1.  Two inputs that
+   meet only through ψ conjuncts are not connected: ψ names descriptor
+   columns of every input, so it would make every leaf look joinable to
+   every other.
 4. **Column pruning** — projections are inserted above join inputs so that
    only columns needed upstream flow through the pipeline (the paper's
    plan P3 of Figure 3 projects away value attributes early).
@@ -41,17 +56,22 @@ from .algebra import (
     Union,
 )
 from .expressions import (
+    Col,
+    Comparison,
     Expression,
+    Or,
     columns_of,
     conjunction,
+    constant_truth,
     equijoin_pairs,
     split_conjuncts,
 )
 from .statistics import (
     DEFAULT_SELECTIVITY,
+    PSI_SELECTIVITY,
     ColumnStats,
     TableStats,
-    join_cardinality,
+    equijoin_selectivity,
     selectivity,
 )
 
@@ -85,9 +105,14 @@ def push_selections(plan: Plan) -> Plan:
     """Split conjunctions and push selections toward the leaves."""
     plan = plan.with_children([push_selections(c) for c in plan.children])
     if isinstance(plan, Select):
-        conjuncts = split_conjuncts(plan.predicate)
+        conjuncts = _conjuncts(plan.predicate)
         return _push_conjuncts(plan.child, conjuncts)
     return plan
+
+
+def _conjuncts(predicate: Expression) -> List[Expression]:
+    """The conjuncts of a predicate, without the constant-true ones."""
+    return [c for c in split_conjuncts(predicate) if constant_truth(c) is not True]
 
 
 def _push_conjuncts(child: Plan, conjuncts: Sequence[Expression]) -> Plan:
@@ -184,8 +209,6 @@ def _base_in(mapping: Dict[str, str], reference: str) -> bool:
 def _translate_positionally(conjunct: Expression, union_plan: Plan, right: Plan) -> Expression:
     """Rewrite column refs of a conjunct from the union's (left) names to the
     right child's names by position."""
-    from .expressions import Col
-
     left_names = union_plan.schema.names
     right_names = right.schema.names
     position = {name: i for i, name in enumerate(left_names)}
@@ -211,8 +234,6 @@ def _translate_positionally(conjunct: Expression, union_plan: Plan, right: Plan)
 
 def _substitute_columns(conjunct: Expression, mapping: Dict[str, str]) -> Expression:
     """Rewrite column references through an output-name -> input-ref mapping."""
-    from .expressions import Col
-
     def rewrite(expr: Expression) -> Expression:
         if isinstance(expr, Col):
             return Col(mapping.get(expr.name, expr.name))
@@ -343,24 +364,40 @@ def _estimate_join(plan: Join) -> float:
     left_rows = estimate_rows(left)
     right_rows = estimate_rows(right)
     pairs, residual = equijoin_pairs(plan.predicate, left.schema, right.schema)
-    if pairs:
-        best = left_rows * right_rows
-        for l, r in pairs:
-            cardinality = join_cardinality(
-                left_rows, right_rows, _column_stats(left, l), _column_stats(right, r)
-            )
-            best = min(best, cardinality)
-        for res in residual:
-            best *= DEFAULT_SELECTIVITY if not _is_psi_shaped(res) else 0.9
-        return max(best, 0.1)
-    return max(left_rows * right_rows * DEFAULT_SELECTIVITY, 0.1)
+    estimate = left_rows * right_rows
+    for l, r in pairs:
+        estimate *= equijoin_selectivity(
+            left_rows, right_rows, _column_stats(left, l), _column_stats(right, r)
+        )
+    for conjunct in residual:
+        estimate *= _residual_selectivity(conjunct)
+    return max(estimate, 0.1)
 
 
-def _is_psi_shaped(expression: Expression) -> bool:
-    """Heuristic: ψ-conditions (Var mismatch OR Rng equal) are barely selective."""
-    from .expressions import Or
+def _residual_selectivity(conjunct: Expression) -> float:
+    if _is_psi(conjunct):
+        return PSI_SELECTIVITY
+    truth = constant_truth(conjunct)
+    if truth is not None:
+        return 1.0 if truth else 0.0
+    return DEFAULT_SELECTIVITY
 
-    return isinstance(expression, Or)
+
+def _is_psi(conjunct: Expression) -> bool:
+    """Is this a ψ conjunct ``(c_i <> c_j) OR (w_i = w_j)`` of a translated join?"""
+    if not isinstance(conjunct, Or) or len(conjunct.operands) != 2:
+        return False
+    differ, agree = conjunct.operands
+    return _compares_columns(differ, "<>") and _compares_columns(agree, "=")
+
+
+def _compares_columns(expression: Expression, op: str) -> bool:
+    return (
+        isinstance(expression, Comparison)
+        and expression.op == op
+        and isinstance(expression.left, Col)
+        and isinstance(expression.right, Col)
+    )
 
 
 class _PlanStats:
@@ -389,15 +426,11 @@ class _PlanStats:
 # ======================================================================
 def order_joins(plan: Plan) -> Plan:
     """Flatten join cascades and re-assemble them greedily by cardinality."""
-    plan = plan.with_children([order_joins(c) for c in plan.children])
-    if not isinstance(plan, (Join, Product)):
-        return plan
-
-    leaves, predicates = _flatten_joins(plan)
-    if len(leaves) <= 2:
-        return plan
-    ordered = _greedy_order(leaves, predicates)
-    return ordered
+    if isinstance(plan, (Join, Product)):
+        leaves, predicates = _flatten_joins(plan)
+        if len(leaves) > 2:
+            return _greedy_order([order_joins(leaf) for leaf in leaves], predicates)
+    return plan.with_children([order_joins(c) for c in plan.children])
 
 
 def _flatten_joins(plan: Plan) -> Tuple[List[Plan], List[Expression]]:
@@ -407,12 +440,14 @@ def _flatten_joins(plan: Plan) -> Tuple[List[Plan], List[Expression]]:
 
     def walk(node: Plan) -> None:
         if isinstance(node, Join):
-            predicates.extend(split_conjuncts(node.predicate))
+            predicates.extend(_conjuncts(node.predicate))
             walk(node.left)
             walk(node.right)
         elif isinstance(node, Product):
             walk(node.left)
             walk(node.right)
+        elif _reorders_join(node):
+            walk(node.child)
         else:
             leaves.append(node)
 
@@ -420,47 +455,53 @@ def _flatten_joins(plan: Plan) -> Tuple[List[Plan], List[Expression]]:
     return leaves, predicates
 
 
+def _reorders_join(node: Plan) -> bool:
+    """Is ``node`` a Project that only permutes the columns of a join below it?"""
+    if not isinstance(node, Project) or not isinstance(node.child, (Join, Product)):
+        return False
+    names = node.child.schema.names
+    return len(node.columns) == len(names) and set(node.schema.names) == set(names)
+
+
 def _greedy_order(leaves: List[Plan], predicates: List[Expression]) -> Plan:
-    """Left-deep greedy join ordering avoiding cross products when possible."""
+    """Greedy join ordering that avoids cross products when possible.
+
+    Repeatedly joins the two inputs with the smallest estimated result
+    (greedy operator ordering), so independent chains such as
+    ``n1 ⋈ s`` and ``n2 ⋈ c`` can each form before they meet.  A pair is
+    *connected* when a non-ψ conjunct joins it; connected pairs win over
+    cross products, and among equals the smaller estimate wins.
+    """
     unused = list(predicates)
-    remaining = list(leaves)
+    parts = sorted(leaves, key=estimate_rows)
 
-    def applicable(schema_names: Set[str], extra: Plan) -> List[Expression]:
-        combined = schema_names | set(extra.schema.names)
-        picked = []
-        for p in unused:
-            if all(_resolvable(combined, r) for r in columns_of(p)):
-                picked.append(p)
-        return picked
+    while len(parts) > 1:
+        best = None
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                left, right = parts[i], parts[j]
+                combined = set(left.schema.names) | set(right.schema.names)
+                preds = [
+                    p
+                    for p in unused
+                    if all(_resolvable(combined, r) for r in columns_of(p))
+                ]
+                trial = (
+                    Join(left, right, conjunction(preds))
+                    if preds
+                    else Product(left, right)
+                )
+                connected = not all(map(_is_psi, preds))
+                rank = (not connected, estimate_rows(trial))
+                if best is None or rank < best[0]:
+                    best = (rank, i, j, trial, preds)
+        _, i, j, trial, preds = best
+        parts[i] = trial
+        del parts[j]
+        for p in preds:
+            unused.remove(p)
 
-    # seed with the smallest leaf
-    remaining.sort(key=estimate_rows)
-    current = remaining.pop(0)
-
-    while remaining:
-        best_idx: Optional[int] = None
-        best_cost = float("inf")
-        best_connected = False
-        for i, candidate in enumerate(remaining):
-            preds = applicable(set(current.schema.names), candidate)
-            connected = bool(preds)
-            trial = (
-                Join(current, candidate, conjunction(preds))
-                if preds
-                else Product(current, candidate)
-            )
-            cost = estimate_rows(trial)
-            if (connected, -cost) > (best_connected, -best_cost):
-                best_idx, best_cost, best_connected = i, cost, connected
-        candidate = remaining.pop(best_idx)
-        preds = applicable(set(current.schema.names), candidate)
-        if preds:
-            for p in preds:
-                unused.remove(p)
-            current = Join(current, candidate, conjunction(preds))
-        else:
-            current = Product(current, candidate)
-
+    current = parts[0]
     if unused:
         current = Select(current, conjunction(unused))
     return current

@@ -14,7 +14,6 @@ Physical plans mirror the logical nodes but carry concrete algorithms:
 * ``Append``         — bag union
 * ``Except``         — set difference
 * ``Sort``           — explicit sort (used under MergeJoin)
-* ``Materialize``    — caches child output (inner of nested loops)
 * ``Confidence``     — per-value-tuple confidence over a U-relation input
 
 Execution model
@@ -84,7 +83,6 @@ __all__ = [
     "Append",
     "Except",
     "Sort",
-    "Materialize",
     "Confidence",
     "execute",
 ]
@@ -1111,7 +1109,7 @@ class SemiJoinOp(PhysicalPlan):
         from .expressions import conjunction, equijoin_pairs
 
         self.left = left
-        self.right = Materialize(right)
+        self.right = right
         self.predicate = predicate
         self.schema = left.schema
         self.pairs, residual_list = equijoin_pairs(
@@ -1246,6 +1244,8 @@ class MergeJoin(PhysicalPlan):
     exactly the rows a merge join skips anyway; mixed-type key columns
     (whose raw order differs from ``_sort_key`` order) fall back to the
     sorting path, so answers never depend on whether an index exists.
+    ``_sort_key`` gives all numbers one type tag, so ``1`` meets ``1.0``
+    here as it does in a hash join.
     """
 
     def __init__(
@@ -1306,9 +1306,8 @@ class MergeJoin(PhysicalPlan):
         """The index keys wrapped as ``_sort_key`` tuples, or None.
 
         Merge comparisons must use the same type-tagged total order as the
-        sorting path (raw keys would let ``1`` meet ``1.0``, which
-        ``_sort_key`` keeps apart — answers must not depend on whether an
-        index exists).  The wrapping is only usable when the index's raw
+        sorting path (answers must not depend on whether an index
+        exists).  The wrapping is only usable when the index's raw
         order is also monotone under ``_sort_key`` (false for mixed-type
         columns); the result — or the rejection — is cached on the index,
         so repeated executions pay nothing.
@@ -1458,31 +1457,6 @@ class MergeJoin(PhysicalPlan):
         return details
 
 
-class Materialize(PhysicalPlan):
-    """Materializes (and caches) the child output for repeated scans."""
-
-    def __init__(self, child: PhysicalPlan):
-        self.child = child
-        self.schema = child.schema
-        self.estimated_rows = child.estimated_rows
-        self._cache: Optional[List[Row]] = None
-
-    @property
-    def children(self) -> Tuple[PhysicalPlan, ...]:
-        return (self.child,)
-
-    def _column_batches(self, size: int) -> Iterator[ColumnBatch]:
-        if self._cache is None:
-            self._cache = _all_rows(self.child, size)
-        return _as_columns(_chunks(self._cache, size), len(self.schema))
-
-    def column_nullable(self, position: int) -> bool:
-        return self.child.column_nullable(position)
-
-    def explain_label(self) -> str:
-        return "Materialize"
-
-
 class NestedLoopJoin(PhysicalPlan):
     """Nested-loop join with an arbitrary predicate (or cross product)."""
 
@@ -1493,7 +1467,7 @@ class NestedLoopJoin(PhysicalPlan):
         predicate: Optional[Expression] = None,
     ):
         self.left = left
-        self.right = Materialize(right)
+        self.right = right
         self.predicate = predicate
         self.schema = left.schema.concat(right.schema)
         self._compiled = predicate.compile(self.schema) if predicate is not None else None

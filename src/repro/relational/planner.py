@@ -654,14 +654,11 @@ def _fuse_children(node: PhysicalPlan) -> None:
         # fuse beneath the Sort wrappers the join inserted
         node.left.child = _fuse_tree(node.left.child)
         node.right.child = _fuse_tree(node.right.child)
-    elif isinstance(node, (HashJoin, Append, Except)):
+    elif isinstance(node, (HashJoin, Append, Except, NestedLoopJoin, SemiJoinOp)):
         node.left = _fuse_tree(node.left)
         node.right = _fuse_tree(node.right)
     elif isinstance(node, IndexNestedLoopJoin):
         node.outer = _fuse_tree(node.outer)
-    elif isinstance(node, (NestedLoopJoin, SemiJoinOp)):
-        node.left = _fuse_tree(node.left)
-        node.right.child = _fuse_tree(node.right.child)  # Materialize wrapper
 
 
 def _fuse_tree(node: PhysicalPlan) -> PhysicalPlan:

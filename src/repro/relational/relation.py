@@ -446,6 +446,18 @@ class Relation:
         return "\n".join(lines)
 
 
+#: Numbers compare with each other whatever their type (``1 == 1.0 ==
+#: True``), so they share one tag: a merge join must meet ``1`` with
+#: ``1.0`` exactly as hash equality does.
+_NUMBER_TAG = {bool: "number", int: "number", float: "number"}
+
+
 def _sort_key(row: Tuple[Any, ...]) -> Tuple:
-    """Total order over heterogeneous rows (None first, then by type name)."""
-    return tuple((value is not None, type(value).__name__, value) for value in row)
+    """Total order over heterogeneous rows (None first, then by type tag).
+
+    The tag is the type name, except that all numbers share one tag.
+    """
+    return tuple(
+        (value is not None, _NUMBER_TAG.get(type(value)) or type(value).__name__, value)
+        for value in row
+    )

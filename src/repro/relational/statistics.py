@@ -4,7 +4,10 @@ A deliberately simple, PostgreSQL-flavoured cost model:
 
 * equality against a literal: ``1 / ndistinct`` of the column,
 * range predicates against a literal: fraction of the (min, max) interval,
-* equi-joins: ``|L| * |R| / max(ndistinct_L, ndistinct_R)``,
+* equi-joins: ``|L| * |R| / max(ndistinct_L, ndistinct_R)`` per equi-pair,
+  several pairs of one join combined as if independent,
+* ψ descriptor-consistency conjuncts of translated joins: nearly 1,
+* comparisons between two literals: exactly 1 or 0,
 * unknown predicates: a fixed default selectivity.
 
 Statistics are computed lazily per relation and cached.  The estimates only
@@ -29,6 +32,7 @@ from .expressions import (
     Lit,
     Not,
     Or,
+    constant_truth,
 )
 from .relation import Relation
 
@@ -36,7 +40,9 @@ __all__ = [
     "ColumnStats",
     "TableStats",
     "selectivity",
+    "equijoin_selectivity",
     "DEFAULT_SELECTIVITY",
+    "PSI_SELECTIVITY",
     "use_index_scan",
     "use_index_join",
 ]
@@ -44,6 +50,13 @@ __all__ = [
 DEFAULT_SELECTIVITY = 0.33
 EQUALITY_DEFAULT = 0.05
 RANGE_DEFAULT = 0.3
+
+#: Selectivity of one ψ conjunct ``(c_i <> c_j) OR (w_i = w_j)`` of a
+#: translated join.  It rejects a row pair only when both descriptors
+#: assign the same variable different values; in the paper's databases
+#: most descriptor slots hold the trivial padding variable (which always
+#: agrees), so nearly every pair passes.
+PSI_SELECTIVITY = 0.99
 
 #: An IndexScan wins over a SeqScan when it is expected to fetch at most
 #: this fraction of the table.  Although the fetch itself is a cheap
@@ -231,22 +244,25 @@ def selectivity(
     return DEFAULT_SELECTIVITY
 
 
-def join_cardinality(
+def equijoin_selectivity(
     left_rows: float,
     right_rows: float,
     left_stats: Optional[ColumnStats],
     right_stats: Optional[ColumnStats],
 ) -> float:
-    """Estimated output rows of an equi-join."""
+    """Fraction of the row pairs that one equi-pair ``l = r`` keeps."""
     nd_left = left_stats.ndistinct if left_stats else max(left_rows, 1.0)
     nd_right = right_stats.ndistinct if right_stats else max(right_rows, 1.0)
-    return left_rows * right_rows / max(nd_left, nd_right, 1.0)
+    return 1.0 / max(nd_left, nd_right, 1.0)
 
 
 # ----------------------------------------------------------------------
 # internals
 # ----------------------------------------------------------------------
 def _comparison_selectivity(cmp: Comparison, stats: Optional[TableStats]) -> float:
+    truth = constant_truth(cmp)
+    if truth is not None:
+        return 1.0 if truth else 0.0
     column, literal = _column_vs_literal(cmp)
     if column is None:
         if cmp.op == "=":

@@ -156,6 +156,22 @@ class TestPreparedQuery:
         )
         assert got == reference
 
+    def test_nested_loop_inner_follows_each_binding(self):
+        # regression: the inner side of a cached nested loop once replayed
+        # the rows of the first binding, so the second run answered
+        # ('FRANCE', 'PERU') again
+        from repro.ugen import generate_uncertain
+
+        udb = generate_uncertain(scale=0.0005, seed=42).udb
+        stmt = prepare(
+            "possible (select n1.name, n2.name from nation n1, nation n2 "
+            "where n1.name = $1 and n2.name = $2)",
+            udb,
+        )
+        assert sorted(stmt.run("FRANCE", "PERU").rows) == [("FRANCE", "PERU")]
+        assert sorted(stmt.run("FRANCE", "JAPAN").rows) == [("FRANCE", "JAPAN")]
+        assert sorted(stmt.run("PERU", "FRANCE").rows) == [("PERU", "FRANCE")]
+
 
 class TestParamPointLookup:
     """Parameterized equality predicates become index point lookups that

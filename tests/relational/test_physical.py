@@ -10,7 +10,6 @@ from repro.relational.physical import (
     Filter,
     HashDistinct,
     HashJoin,
-    Materialize,
     MergeJoin,
     NestedLoopJoin,
     Projection,
@@ -118,15 +117,6 @@ class TestSetOpsAndMisc:
     def test_sort(self):
         scan = SeqScan(Relation(["a", "b"], [(2, "x"), (1, "y")]), "t")
         assert execute(Sort(scan, ["a"])).rows == [(1, "y"), (2, "x")]
-
-    def test_materialize_caches(self):
-        scan = SeqScan(Relation(["a"], [(1,), (2,)]), "t")
-        mat = Materialize(scan)
-        assert execute(mat).rows == [(1,), (2,)]
-        scan.actual_rows = None
-        # the second execution replays the cache without draining the child
-        assert execute(mat).rows == [(1,), (2,)]
-        assert scan.actual_rows is None
 
     def test_explain_labels_present(self, left, right):
         join = HashJoin(left, right, [("l.k", "r.k")], residual=col("r.w") > lit(0))

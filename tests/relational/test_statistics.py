@@ -7,7 +7,7 @@ from repro.relational.relation import Relation
 from repro.relational.statistics import (
     ColumnStats,
     TableStats,
-    join_cardinality,
+    equijoin_selectivity,
     selectivity,
 )
 from repro.relational.types import Date
@@ -91,9 +91,9 @@ class TestJoinCardinality:
     def test_key_foreign_key(self):
         left = ColumnStats(list(range(100)))  # key side
         right = ColumnStats([i % 100 for i in range(1000)])
-        est = join_cardinality(100, 1000, left, right)
+        est = 100 * 1000 * equijoin_selectivity(100, 1000, left, right)
         assert est == pytest.approx(1000)
 
     def test_without_stats_falls_back(self):
-        est = join_cardinality(100, 100, None, None)
+        est = 100 * 100 * equijoin_selectivity(100, 100, None, None)
         assert est == pytest.approx(100)

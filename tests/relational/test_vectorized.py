@@ -28,7 +28,7 @@ from repro.relational.algebra import (
     SemiJoin,
     Union,
 )
-from repro.relational.expressions import col, compile_expression, lit
+from repro.relational.expressions import Param, col, compile_expression, lit
 from repro.relational.physical import (
     BATCH_SIZE,
     Append,
@@ -37,7 +37,6 @@ from repro.relational.physical import (
     Filter,
     HashDistinct,
     HashJoin,
-    Materialize,
     MergeJoin,
     NestedLoopJoin,
     Projection,
@@ -185,8 +184,14 @@ class TestBatchBoundaries:
         assert_matches_reference(Sort(left, ["l.v", "l.k"]), l)
 
     def test_materialize(self, n):
-        l, _, left, _ = inputs(n)
-        assert_matches_reference(Materialize(left), l)
+        # a nested loop materializes its inner side once per execution: a
+        # second execution under a new $1 binding sees the new inner rows
+        l, r, left, right = inputs(n)
+        store: list = []
+        join = NestedLoopJoin(left, Filter(right, col("r.k").eq(Param(0, store))), None)
+        for key in (1, 2):
+            store[:] = [key]
+            assert_matches_reference(join, Product(l, Select(r, col("r.k").eq(lit(key)))))
 
 
 class TestBatchMechanics:

@@ -123,6 +123,25 @@ def test_sessions_are_per_connection(served):
         second.close()
 
 
+def test_prepared_nested_loop_follows_each_binding(served):
+    # regression: a cached nested loop's inner side once replayed the rows
+    # of the statement's first binding on every later execution
+    _server, address = served
+    client = Client(address)
+    try:
+        client.rpc(
+            op="prepare",
+            name="pair",
+            sql="possible (select r1.type, r2.faction from r r1, r r2 "
+            "where r1.type = $1 and r2.faction = $2)",
+        )
+        for params in (["Tank", "Friend"], ["Transport", "Enemy"], ["Tank", "Enemy"]):
+            answer = client.rpc(op="execute", name="pair", params=params)
+            assert answer["ok"] and answer["rows"] == [params]
+    finally:
+        client.close()
+
+
 def test_concurrent_clients_get_correct_answers(served):
     _server, address = served
     expected = {
